@@ -39,24 +39,11 @@ fn bench_kernels(c: &mut Criterion) {
     });
     group.bench_function("fused_optimized_scalar", |b| {
         set_lane_policy(LanePolicy::ForceScalar);
-        b.iter(|| fused_step_optimized(&flags, &src, &mut dst, &coll, &interior, 0..dims.ny, 0));
+        b.iter(|| fused_step_optimized(&flags, &src, &mut dst, &coll, &interior, 0..dims.ny));
         set_lane_policy(LanePolicy::Auto);
     });
     group.bench_function("fused_optimized_simd", |b| {
-        b.iter(|| fused_step_optimized(&flags, &src, &mut dst, &coll, &interior, 0..dims.ny, 0))
-    });
-    group.bench_function("fused_optimized_simd_tiled", |b| {
-        b.iter(|| {
-            fused_step_optimized(
-                &flags,
-                &src,
-                &mut dst,
-                &coll,
-                &interior,
-                0..dims.ny,
-                swlb_core::parallel::DEFAULT_TILE_Z,
-            )
-        })
+        b.iter(|| fused_step_optimized(&flags, &src, &mut dst, &coll, &interior, 0..dims.ny))
     });
     group.bench_function("split_two_pass", |b| {
         b.iter(|| split_step(&flags, &src, &mut dst, &coll))

@@ -44,7 +44,7 @@ use swlb_core::geometry::GridDims;
 use swlb_core::kernels::{fused_step, fused_step_optimized, InteriorIndex};
 use swlb_core::lattice::D3Q19;
 use swlb_core::layout::{AosField, PopField, SoaField, StorageScheme};
-use swlb_core::parallel::{ThreadPool, DEFAULT_TILE_Z};
+use swlb_core::parallel::ThreadPool;
 use swlb_core::simd::{
     avx512_available, cpu_features, logical_cores, physical_cores, selected_kernel_class,
     set_lane_policy, LanePolicy,
@@ -100,7 +100,6 @@ fn init<F: PopField<D3Q19>>(flags: &FlagField, dims: GridDims) -> F {
 struct SweepPoint {
     kernel: &'static str,
     threads: usize,
-    tile_z: usize,
     seconds_per_step: f64,
     mlups: f64,
 }
@@ -152,10 +151,9 @@ fn sweep_json(
     out.push_str("  \"configs\": [\n");
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"threads\": {}, \"tile_z\": {}, \"seconds_per_step\": {:.6}, \"mlups\": {:.3}}}{}\n",
+            "    {{\"kernel\": \"{}\", \"threads\": {}, \"seconds_per_step\": {:.6}, \"mlups\": {:.3}}}{}\n",
             p.kernel,
             p.threads,
-            p.tile_z,
             p.seconds_per_step,
             p.mlups,
             if i + 1 < points.len() { "," } else { "" }
@@ -266,7 +264,7 @@ struct SchemePoint {
 fn measure_scheme(n: usize, threads: usize, scheme: StorageScheme, iters: usize) -> (f64, f64) {
     let dims = GridDims::new(n, n, n);
     let mut s = Solver::<D3Q19>::builder(dims, BgkParams::from_tau(0.8))
-        .pool(ThreadPool::new(threads).with_tile_z(DEFAULT_TILE_Z))
+        .pool(ThreadPool::new(threads))
         .storage(scheme)
         .build();
     s.flags_mut().set_box_walls();
@@ -529,7 +527,7 @@ fn measure_blocked(
 ) -> (f64, f64) {
     let dims = GridDims::new(n, n, n);
     let mut s = Solver::<D3Q19>::builder(dims, BgkParams::from_tau(0.8))
-        .pool(ThreadPool::new(threads).with_tile_z(DEFAULT_TILE_Z))
+        .pool(ThreadPool::new(threads))
         .storage(scheme)
         .time_block(k)
         .try_build()
@@ -985,7 +983,7 @@ fn main() {
     let interior = InteriorIndex::build::<D3Q19>(&flags);
     set_lane_policy(LanePolicy::ForceScalar);
     let t_opt = min_secs(iters, || {
-        fused_step_optimized(&flags, &src, &mut dst, &coll, &interior, 0..dims.ny, 0);
+        fused_step_optimized(&flags, &src, &mut dst, &coll, &interior, 0..dims.ny);
     });
     row(&[
         "fused hand-optimized (scalar)".into(),
@@ -995,28 +993,9 @@ fn main() {
         "".into(),
     ]);
 
-    let t_tiled = min_secs(iters, || {
-        fused_step_optimized(
-            &flags,
-            &src,
-            &mut dst,
-            &coll,
-            &interior,
-            0..dims.ny,
-            DEFAULT_TILE_Z,
-        );
-    });
-    row(&[
-        format!("scalar, tile_z={DEFAULT_TILE_Z}"),
-        format!("{t_tiled:.3}"),
-        format!("{:.1}", cells / t_tiled / 1e6),
-        format!("{:.2}x", t_fused / t_tiled),
-        "".into(),
-    ]);
-
     set_lane_policy(LanePolicy::Auto);
     let t_simd = min_secs(iters, || {
-        fused_step_optimized(&flags, &src, &mut dst, &coll, &interior, 0..dims.ny, 0);
+        fused_step_optimized(&flags, &src, &mut dst, &coll, &interior, 0..dims.ny);
     });
     row(&[
         format!("fused {} lanes", selected_kernel_class().name()),
@@ -1081,7 +1060,7 @@ fn main() {
     ] {
         set_lane_policy(policy);
         for &threads in &thread_counts {
-            let pool = ThreadPool::new(threads).with_tile_z(DEFAULT_TILE_Z);
+            let pool = ThreadPool::new(threads);
             let t = min_secs(iters, || {
                 pool.fused_step(&sflags, &ssrc, &mut sdst, &coll, Some(&sinterior));
             });
@@ -1102,7 +1081,6 @@ fn main() {
             points.push(SweepPoint {
                 kernel,
                 threads,
-                tile_z: DEFAULT_TILE_Z,
                 seconds_per_step: t,
                 mlups,
             });

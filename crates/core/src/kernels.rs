@@ -14,11 +14,12 @@
 //!   layout and boundary condition. All other execution paths in the workspace
 //!   (split kernels, push scheme, the CPE-cluster emulator in `swlb-arch`, the
 //!   distributed engine in `swlb-sim`) are tested for exact agreement with it.
-//! * [`fused_step_d3q19_interior`] — a hand-specialized D3Q19/SoA kernel with
-//!   hoisted neighbor offsets and a fully unrolled direction loop, the portable
-//!   analog of the paper's assembly-level optimization stage (manual unroll +
-//!   instruction reordering). It handles interior cells only; callers finish the
-//!   boundary shell with the generic kernel.
+//! * [`fused_step_optimized`] / [`aa_fused_step_optimized`] — one streaming
+//!   sweep per step for D3Q19/SoA/BGK: each z-pencil is walked once, its
+//!   interior runs ([`InteriorRuns`]) go through a hand-unrolled lane kernel
+//!   in [`crate::simd`] (the portable analog of the paper's assembly-level
+//!   stage: hoisted neighbor offsets, unrolled direction loop) and each gap
+//!   between runs goes through the generic per-cell update at that point.
 
 use crate::boundary::NodeKind;
 use crate::collision::{collide, CollisionKind};
@@ -26,7 +27,7 @@ use crate::equilibrium::{equilibrium, moments};
 use crate::flags::FlagField;
 use crate::lattice::{Lattice, D3Q19};
 use crate::layout::{AaParity, PopField, SoaField};
-use crate::simd::{FastPath, KernelClass};
+use crate::simd::KernelClass;
 use crate::Scalar;
 use std::ops::Range;
 
@@ -124,6 +125,82 @@ pub fn reconstruct_nebb<L: Lattice>(f: &mut [Scalar], kind: NodeKind) {
     }
 }
 
+/// One generic fused pull update of cell `(x, y, z)`: stream + collide for
+/// fluid and NEBB cells, the [`apply_non_fluid`] rules for everything else.
+/// The result is written into `draw`, the raw storage of a destination laid
+/// out like `src` (`index_of` addressing). `f` is scratch of at least `L::Q`.
+///
+/// This is the one per-cell update behind the generic kernels, the gaps of
+/// the optimized sweep in [`crate::simd`], and the pooled generic slabs.
+///
+/// # Safety
+/// `draw` must point at storage of `src`'s length and layout, distinct from
+/// `src`, and no other thread may write cell `(x, y, z)` concurrently.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub(crate) unsafe fn generic_cell<L: Lattice, F: PopField<L>>(
+    flags: &FlagField,
+    src: &F,
+    draw: *mut Scalar,
+    collision: &CollisionKind,
+    x: usize,
+    y: usize,
+    z: usize,
+    f: &mut [Scalar],
+) {
+    let dims = flags.dims();
+    let this = dims.idx(x, y, z);
+    let f = &mut f[..L::Q];
+    match flags.kind(this) {
+        kind
+        @ (NodeKind::Fluid | NodeKind::VelocityNebb { .. } | NodeKind::PressureNebb { .. }) => {
+            gather_pull::<L, F>(flags, src, x, y, z, f);
+            reconstruct_nebb::<L>(f, kind);
+            collide::<L>(f, collision);
+        }
+        NodeKind::Wall | NodeKind::MovingWall { .. } => src.load_cell(this, f),
+        NodeKind::Inlet { rho, u } => equilibrium::<L>(rho, u, f),
+        NodeKind::Outlet { normal } => {
+            let m = dims
+                .neighbor_checked(x, y, z, [-normal[0], -normal[1], -normal[2]])
+                .map(|[a, b, c]| dims.idx(a, b, c))
+                .unwrap_or(this);
+            src.load_cell(m, f);
+        }
+    }
+    for (q, v) in f.iter().enumerate() {
+        // SAFETY: caller contract — in-bounds, exclusive cell.
+        unsafe { *draw.add(src.index_of(this, q)) = *v };
+    }
+}
+
+/// The generic kernel over the rectangle `xr × ys` (full z depth), writing
+/// through the raw destination `draw` — shared by [`fused_step_rect`] and the
+/// pooled generic slabs in [`crate::parallel`].
+///
+/// # Safety
+/// As [`generic_cell`], for every cell of the rectangle.
+pub(crate) unsafe fn generic_rect<L: Lattice, F: PopField<L>>(
+    flags: &FlagField,
+    src: &F,
+    draw: *mut Scalar,
+    collision: &CollisionKind,
+    xr: Range<usize>,
+    ys: Range<usize>,
+) {
+    let dims = flags.dims();
+    debug_assert!(ys.end <= dims.ny && xr.end <= dims.nx);
+    let mut f = [0.0; MAX_Q];
+    for y in ys {
+        for x in xr.clone() {
+            for z in 0..dims.nz {
+                // SAFETY: caller contract.
+                unsafe { generic_cell::<L, F>(flags, src, draw, collision, x, y, z, &mut f) };
+            }
+        }
+    }
+}
+
 /// One fused stream+collide step over the y-slab `ys` (generic reference kernel).
 ///
 /// `src` must hold the complete post-collision state of the previous step; `dst`
@@ -136,25 +213,7 @@ pub fn fused_step_range<L: Lattice, F: PopField<L>>(
     collision: &CollisionKind,
     ys: Range<usize>,
 ) {
-    let dims = flags.dims();
-    debug_assert!(ys.end <= dims.ny);
-    let mut f = [0.0; MAX_Q];
-    for y in ys {
-        for x in 0..dims.nx {
-            for z in 0..dims.nz {
-                let this = dims.idx(x, y, z);
-                let kind = flags.kind(this);
-                if kind.is_fluid() || kind.is_nebb() {
-                    gather_pull::<L, F>(flags, src, x, y, z, &mut f[..L::Q]);
-                    reconstruct_nebb::<L>(&mut f[..L::Q], kind);
-                    collide::<L>(&mut f[..L::Q], collision);
-                    dst.store_cell(this, &f[..L::Q]);
-                } else {
-                    apply_non_fluid::<L, F>(flags, src, dst, x, y, z, kind);
-                }
-            }
-        }
-    }
+    fused_step_rect::<L, F>(flags, src, dst, collision, 0..flags.dims().nx, ys);
 }
 
 /// [`fused_step_range`] restricted to the x range `xr` as well — the generic
@@ -167,25 +226,9 @@ pub fn fused_step_rect<L: Lattice, F: PopField<L>>(
     xr: Range<usize>,
     ys: Range<usize>,
 ) {
-    let dims = flags.dims();
-    debug_assert!(ys.end <= dims.ny && xr.end <= dims.nx);
-    let mut f = [0.0; MAX_Q];
-    for y in ys {
-        for x in xr.clone() {
-            for z in 0..dims.nz {
-                let this = dims.idx(x, y, z);
-                let kind = flags.kind(this);
-                if kind.is_fluid() || kind.is_nebb() {
-                    gather_pull::<L, F>(flags, src, x, y, z, &mut f[..L::Q]);
-                    reconstruct_nebb::<L>(&mut f[..L::Q], kind);
-                    collide::<L>(&mut f[..L::Q], collision);
-                    dst.store_cell(this, &f[..L::Q]);
-                } else {
-                    apply_non_fluid::<L, F>(flags, src, dst, x, y, z, kind);
-                }
-            }
-        }
-    }
+    // SAFETY: `&mut dst` proves exclusive access to a distinct destination
+    // of the same layout and length as `src`.
+    unsafe { generic_rect::<L, F>(flags, src, dst.raw_mut().as_mut_ptr(), collision, xr, ys) };
 }
 
 /// Convenience wrapper: fused step over the whole domain.
@@ -198,433 +241,9 @@ pub fn fused_step<L: Lattice, F: PopField<L>>(
     fused_step_range::<L, F>(flags, src, dst, collision, 0..flags.dims().ny);
 }
 
-/// Hand-optimized fused kernel for **interior** D3Q19/SoA cells of the y-slab `ys`.
-///
-/// Interior means `1 ≤ x < nx−1`, `1 ≤ y < ny−1`, `1 ≤ z < nz−1` *and* all 18
-/// neighbors are fluid; the caller is responsible for running the generic kernel
-/// on everything else (see [`fused_step_optimized`]). Under those guarantees each
-/// neighbor is a constant linear offset, the direction loop is fully unrolled, and
-/// no flag checks or wraps happen in the hot loop — the Rust analog of the paper's
-/// manually scheduled assembly kernel.
-///
-/// Covers the whole x extent with no cache blocking; see
-/// [`fused_step_d3q19_interior_tiled`] for the rect/tiled variant.
-pub fn fused_step_d3q19_interior(
-    flags: &FlagField,
-    src: &SoaField<D3Q19>,
-    dst: &mut SoaField<D3Q19>,
-    omega: Scalar,
-    ys: Range<usize>,
-    interior_mask: &[bool],
-) {
-    fused_step_d3q19_interior_tiled(
-        flags,
-        src,
-        dst,
-        omega,
-        0..flags.dims().nx,
-        ys,
-        0,
-        interior_mask,
-    );
-}
-
-/// [`fused_step_d3q19_interior`] restricted to the x range `xr` and blocked in
-/// z-tiles of `tile_z` cells (`0` disables tiling).
-///
-/// The z tiling is the CPU mirror of the paper's 64×3×70 CPE blocking: each
-/// (slab, tile) pass touches a bounded working set of the 19 SoA planes so the
-/// gathered source stays cache-resident across the x sweep. Per-cell updates
-/// are independent, so the traversal order change is bit-exact.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_step_d3q19_interior_tiled(
-    flags: &FlagField,
-    src: &SoaField<D3Q19>,
-    dst: &mut SoaField<D3Q19>,
-    omega: Scalar,
-    xr: Range<usize>,
-    ys: Range<usize>,
-    tile_z: usize,
-    interior_mask: &[bool],
-) {
-    // SAFETY: `&mut dst` proves exclusive access to the destination.
-    unsafe {
-        d3q19_interior_raw(
-            flags,
-            src.raw(),
-            dst.raw_mut().as_mut_ptr(),
-            omega,
-            xr,
-            ys,
-            tile_z,
-            interior_mask,
-        );
-    }
-}
-
-/// Raw-pointer core of the interior kernel, shared with the persistent worker
-/// pool in [`crate::parallel`] (workers write through a shared pointer; slabs
-/// with disjoint `ys` touch disjoint cells).
-///
-/// # Safety
-/// `draw` must point at `19 * cells` writable scalars and no other thread may
-/// write any cell in `xr × ys` concurrently.
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn d3q19_interior_raw(
-    flags: &FlagField,
-    sraw: &[Scalar],
-    draw: *mut Scalar,
-    omega: Scalar,
-    xr: Range<usize>,
-    ys: Range<usize>,
-    tile_z: usize,
-    interior_mask: &[bool],
-) {
-    let dims = flags.dims();
-    let (nx, ny, nz) = (dims.nx, dims.ny, dims.nz);
-    if nx < 3 || ny < 3 || nz < 3 {
-        return; // no interior at all; generic path covers everything
-    }
-    let cells = dims.cells();
-    debug_assert_eq!(interior_mask.len(), cells);
-    debug_assert_eq!(sraw.len(), 19 * cells);
-
-    // Per-direction linear offset of the *pull source* (x − c_q).
-    let mut off = [0isize; 19];
-    for q in 0..19 {
-        let c = D3Q19::C[q];
-        off[q] = -((c[1] as isize * nx as isize + c[0] as isize) * nz as isize + c[2] as isize);
-    }
-
-    let y0 = ys.start.max(1);
-    let y1 = ys.end.min(ny - 1);
-    let x0 = xr.start.max(1);
-    let x1 = xr.end.min(nx - 1);
-    let z0 = 1;
-    let z1 = nz - 1;
-    let tile = if tile_z == 0 { z1 - z0 } else { tile_z };
-
-    let mut zt = z0;
-    while zt < z1 {
-        let zt_end = (zt + tile).min(z1);
-        for y in y0..y1 {
-            for x in x0..x1 {
-                let base = (y * nx + x) * nz;
-                for z in zt..zt_end {
-                    let this = base + z;
-                    if !interior_mask[this] {
-                        continue;
-                    }
-                    // SAFETY: the mask certifies an interior cell with all 18
-                    // pull sources in bounds; the caller certifies the buffers
-                    // and write exclusivity.
-                    unsafe { d3q19_cell_update(sraw, draw, cells, &off, this, omega) };
-                }
-            }
-        }
-        zt = zt_end;
-    }
-}
-
-/// One fused pull+BGK update of a single interior D3Q19/SoA cell at linear
-/// index `this`, with per-direction pull offsets `off`. Shared by the scalar
-/// interior kernel above and the sub-lane remainder path of the vectorized
-/// kernel in [`crate::simd`] — keeping it in one place is what makes the
-/// portable-lane path bit-exact by construction.
-///
-/// # Safety
-/// `this` must be an interior cell (all 18 pull sources in bounds per `off`),
-/// `sraw`/`draw` must cover `19 * cells` scalars, and no other thread may
-/// write this cell concurrently.
-#[inline(always)]
-pub(crate) unsafe fn d3q19_cell_update(
-    sraw: &[Scalar],
-    draw: *mut Scalar,
-    cells: usize,
-    off: &[isize; 19],
-    this: usize,
-    omega: Scalar,
-) {
-    let mut f = [0.0f64; 19];
-    // Gather: plane q starts at q·cells; source offset is
-    // constant. The unrolled form keeps all 19 loads
-    // independent so the compiler can software-pipeline them
-    // (the paper's L0/L1 dual-pipeline scheduling, in spirit).
-    macro_rules! pull {
-        ($q:literal) => {
-            f[$q] = sraw[($q * cells) as usize + (this as isize + off[$q]) as usize];
-        };
-    }
-    pull!(0);
-    pull!(1);
-    pull!(2);
-    pull!(3);
-    pull!(4);
-    pull!(5);
-    pull!(6);
-    pull!(7);
-    pull!(8);
-    pull!(9);
-    pull!(10);
-    pull!(11);
-    pull!(12);
-    pull!(13);
-    pull!(14);
-    pull!(15);
-    pull!(16);
-    pull!(17);
-    pull!(18);
-
-    d3q19_collide_scalar(&mut f, omega);
-
-    // Scatter back to the SoA planes.
-    macro_rules! store {
-        ($q:literal) => {
-            *draw.add($q * cells + this) = f[$q];
-        };
-    }
-    store!(0);
-    store!(1);
-    store!(2);
-    store!(3);
-    store!(4);
-    store!(5);
-    store!(6);
-    store!(7);
-    store!(8);
-    store!(9);
-    store!(10);
-    store!(11);
-    store!(12);
-    store!(13);
-    store!(14);
-    store!(15);
-    store!(16);
-    store!(17);
-    store!(18);
-}
-
-/// The plain-BGK D3Q19 collision applied to one gathered population vector —
-/// the exact expression tree of the original fused scalar kernel, factored out
-/// so the AB and both AA-pattern scalar cell updates share it (and so the
-/// portable SIMD lane, which transliterates this tree op for op, stays
-/// bit-exact against every scalar caller).
-#[inline(always)]
-pub(crate) fn d3q19_collide_scalar(f: &mut [Scalar; 19], omega: Scalar) {
-    // Moments, unrolled against the D3Q19 velocity table.
-    let rho = f[0]
-        + f[1]
-        + f[2]
-        + f[3]
-        + f[4]
-        + f[5]
-        + f[6]
-        + f[7]
-        + f[8]
-        + f[9]
-        + f[10]
-        + f[11]
-        + f[12]
-        + f[13]
-        + f[14]
-        + f[15]
-        + f[16]
-        + f[17]
-        + f[18];
-    let jx = f[1] - f[2] + f[7] - f[8] + f[9] - f[10] + f[11] - f[12] + f[13] - f[14];
-    let jy = f[3] - f[4] + f[7] - f[8] - f[9] + f[10] + f[15] - f[16] + f[17] - f[18];
-    let jz = f[5] - f[6] + f[11] - f[12] - f[13] + f[14] + f[15] - f[16] - f[17] + f[18];
-    // Mirror `equilibrium::velocity`'s vacuum guard so this path
-    // is bit-exact against the generic kernel even on degenerate
-    // (near-zero-density) states fed in by property tests.
-    let (ux, uy, uz) = if rho.abs() < 1e-300 {
-        (0.0, 0.0, 0.0)
-    } else {
-        let inv_rho = 1.0 / rho;
-        (jx * inv_rho, jy * inv_rho, jz * inv_rho)
-    };
-    let usq15 = 1.5 * (ux * ux + uy * uy + uz * uz);
-
-    // Collision with precomputed weight constants.
-    const W0: f64 = 1.0 / 3.0;
-    const WA: f64 = 1.0 / 18.0;
-    const WE: f64 = 1.0 / 36.0;
-    macro_rules! relax {
-        ($q:literal, $w:expr, $cu:expr) => {{
-            let cu = $cu;
-            let feq = $w * rho * (1.0 + 3.0 * cu + 4.5 * cu * cu - usq15);
-            f[$q] -= omega * (f[$q] - feq);
-        }};
-    }
-    relax!(0, W0, 0.0);
-    relax!(1, WA, ux);
-    relax!(2, WA, -ux);
-    relax!(3, WA, uy);
-    relax!(4, WA, -uy);
-    relax!(5, WA, uz);
-    relax!(6, WA, -uz);
-    relax!(7, WE, ux + uy);
-    relax!(8, WE, -ux - uy);
-    relax!(9, WE, ux - uy);
-    relax!(10, WE, -ux + uy);
-    relax!(11, WE, ux + uz);
-    relax!(12, WE, -ux - uz);
-    relax!(13, WE, ux - uz);
-    relax!(14, WE, -ux + uz);
-    relax!(15, WE, uy + uz);
-    relax!(16, WE, -uy - uz);
-    relax!(17, WE, uy - uz);
-    relax!(18, WE, -uy + uz);
-}
-
-/// AA-pattern *odd-step* update for one interior D3Q19 cell, operating on the
-/// single grid in place. In the `Reversed` state slot `(x, q)` holds
-/// `f*_{opp(q)}(x)`, and the previous even step left each neighbor's
-/// contribution reversed in place, so the pull for direction `q` reads plane
-/// `opp(q)` at `this + off[q]` (the `x - c_q` neighbor). After collision the
-/// scatter pushes `f*_q` to `(x + c_q, q)` — plane `q` at `this - off[q]` —
-/// leaving the lattice in the `Streamed` state. Interior-only: every
-/// neighbor must be fluid and in-bounds (no periodic wrap), exactly the
-/// [`interior_mask`] contract.
-///
-/// # Safety
-/// `this` must be an interior cell: `this + off[q]` and `this - off[q]` must
-/// be in-bounds for all `q`, and `raw` must point at `19 * cells` scalars.
-#[inline(always)]
-pub(crate) unsafe fn aa_odd_cell_update(
-    raw: *mut Scalar,
-    cells: usize,
-    off: &[isize; 19],
-    this: usize,
-    omega: Scalar,
-) {
-    let mut f = [0.0; 19];
-    macro_rules! pull {
-        ($q:literal, $opp:literal) => {
-            f[$q] = *raw.offset(($opp * cells + this) as isize + off[$q]);
-        };
-    }
-    pull!(0, 0);
-    pull!(1, 2);
-    pull!(2, 1);
-    pull!(3, 4);
-    pull!(4, 3);
-    pull!(5, 6);
-    pull!(6, 5);
-    pull!(7, 8);
-    pull!(8, 7);
-    pull!(9, 10);
-    pull!(10, 9);
-    pull!(11, 12);
-    pull!(12, 11);
-    pull!(13, 14);
-    pull!(14, 13);
-    pull!(15, 16);
-    pull!(16, 15);
-    pull!(17, 18);
-    pull!(18, 17);
-
-    d3q19_collide_scalar(&mut f, omega);
-
-    macro_rules! scatter {
-        ($q:literal) => {
-            *raw.offset(($q * cells + this) as isize - off[$q]) = f[$q];
-        };
-    }
-    scatter!(0);
-    scatter!(1);
-    scatter!(2);
-    scatter!(3);
-    scatter!(4);
-    scatter!(5);
-    scatter!(6);
-    scatter!(7);
-    scatter!(8);
-    scatter!(9);
-    scatter!(10);
-    scatter!(11);
-    scatter!(12);
-    scatter!(13);
-    scatter!(14);
-    scatter!(15);
-    scatter!(16);
-    scatter!(17);
-    scatter!(18);
-}
-
-/// AA-pattern *even-step* update for one interior D3Q19 cell. In the
-/// `Streamed` state slot `(y, q)` already holds the post-streaming
-/// `f_q(y)` (the odd step's scatter put it there), so the gather is purely
-/// local; the reversed store `(y, opp(q)) = f*_q` returns the lattice to the
-/// `Reversed` state without touching any neighbor. Cell-local by
-/// construction, so it is race-free under any partition.
-///
-/// # Safety
-/// `raw` must point at `19 * cells` scalars and `this < cells`.
-#[inline(always)]
-pub(crate) unsafe fn aa_even_cell_update(
-    raw: *mut Scalar,
-    cells: usize,
-    this: usize,
-    omega: Scalar,
-) {
-    let mut f = [0.0; 19];
-    macro_rules! pull {
-        ($q:literal) => {
-            f[$q] = *raw.add($q * cells + this);
-        };
-    }
-    pull!(0);
-    pull!(1);
-    pull!(2);
-    pull!(3);
-    pull!(4);
-    pull!(5);
-    pull!(6);
-    pull!(7);
-    pull!(8);
-    pull!(9);
-    pull!(10);
-    pull!(11);
-    pull!(12);
-    pull!(13);
-    pull!(14);
-    pull!(15);
-    pull!(16);
-    pull!(17);
-    pull!(18);
-
-    d3q19_collide_scalar(&mut f, omega);
-
-    macro_rules! store_rev {
-        ($q:literal, $opp:literal) => {
-            *raw.add($opp * cells + this) = f[$q];
-        };
-    }
-    store_rev!(0, 0);
-    store_rev!(1, 2);
-    store_rev!(2, 1);
-    store_rev!(3, 4);
-    store_rev!(4, 3);
-    store_rev!(5, 6);
-    store_rev!(6, 5);
-    store_rev!(7, 8);
-    store_rev!(8, 7);
-    store_rev!(9, 10);
-    store_rev!(10, 9);
-    store_rev!(11, 12);
-    store_rev!(12, 11);
-    store_rev!(13, 14);
-    store_rev!(14, 13);
-    store_rev!(15, 16);
-    store_rev!(16, 15);
-    store_rev!(17, 18);
-    store_rev!(18, 17);
-}
-
-/// Precompute the interior-fast-path mask for [`fused_step_d3q19_interior`]:
-/// `true` where the cell is fluid, geometrically interior, and all 18 pull
-/// sources are fluid too.
+/// Precompute the interior-fast-path mask: `true` where the cell is fluid,
+/// geometrically interior, and all pull sources are fluid too (the cells the
+/// lane kernels of [`crate::simd`] may update; see [`InteriorRuns`]).
 pub fn interior_mask<L: Lattice>(flags: &FlagField) -> Vec<bool> {
     let dims = flags.dims();
     let mut mask = vec![false; dims.cells()];
@@ -713,96 +332,40 @@ impl InteriorRuns {
     }
 }
 
-/// The interior fast-path index: the per-cell mask (consumed by the scalar
-/// kernel and the generic-remainder sweep) plus its run-length encoding
-/// (consumed by the vectorized kernel). Both views describe the same cell set;
-/// build it once per flag generation with [`InteriorIndex::build`].
+/// The interior fast-path index: the run-length-encoded interior cell set
+/// ([`InteriorRuns`]) the optimized sweep hands to its lane kernels. Build it
+/// once per flag generation with [`InteriorIndex::build`].
 #[derive(Debug, Clone)]
 pub struct InteriorIndex {
-    mask: Vec<bool>,
     runs: InteriorRuns,
 }
 
 impl InteriorIndex {
-    /// Compute mask + runs for the current flags (see [`interior_mask`]).
+    /// Compute the runs for the current flags (see [`interior_mask`]).
     pub fn build<L: Lattice>(flags: &FlagField) -> Self {
-        let mask = interior_mask::<L>(flags);
-        let runs = InteriorRuns::from_mask(flags.dims(), &mask);
-        InteriorIndex { mask, runs }
+        let runs = InteriorRuns::from_mask(flags.dims(), &interior_mask::<L>(flags));
+        InteriorIndex { runs }
     }
 
-    /// Per-cell interior mask (z-innermost linear indexing).
-    #[inline(always)]
-    pub fn mask(&self) -> &[bool] {
-        &self.mask
-    }
-
-    /// Run-length-encoded view of the same interior set.
+    /// Run-length-encoded interior cell set.
     #[inline(always)]
     pub fn runs(&self) -> &InteriorRuns {
         &self.runs
     }
 }
 
-/// Safe wrapper over the vectorized interior kernel for direct equivalence
-/// tests and benchmarks: runs *only* the interior runs (callers finish the
-/// remainder with the generic kernel, as [`fused_step_optimized_rect`] does).
-/// `portable = true` pins the bit-exact `[f64; 4]` fallback lane; `false`
-/// requires AVX2+FMA support (panics otherwise).
-#[allow(clippy::too_many_arguments)]
-pub fn fused_step_d3q19_interior_simd(
-    flags: &FlagField,
-    src: &SoaField<D3Q19>,
-    dst: &mut SoaField<D3Q19>,
-    omega: Scalar,
-    xr: Range<usize>,
-    ys: Range<usize>,
-    tile_z: usize,
-    runs: &InteriorRuns,
-    portable: bool,
-) {
-    assert!(
-        portable || crate::simd::simd_available(),
-        "AVX2+FMA lane requested on a CPU without support"
-    );
-    let path = if portable {
-        FastPath::Portable
-    } else if crate::simd::avx512_available() {
-        FastPath::Avx512
-    } else {
-        FastPath::Avx2
-    };
-    // SAFETY: `&mut dst` proves exclusive access; `runs` came from this
-    // geometry's interior mask per the caller's contract; the hardware lane
-    // was feature-checked above.
-    unsafe {
-        crate::simd::d3q19_interior_simd(
-            flags,
-            src.raw(),
-            dst.raw_mut().as_mut_ptr(),
-            omega,
-            xr,
-            ys,
-            tile_z,
-            runs,
-            path,
-        );
-    }
-}
-
-/// Full fused step that runs the fastest eligible interior kernel and the
-/// generic kernel everywhere else, returning the [`KernelClass`] that served
-/// the interior. Equivalent to [`fused_step`]: bit-for-bit when the scalar or
-/// portable-lane path is selected, within 1e-12 under the AVX2+FMA lane (FMA
-/// contraction is the only rounding difference).
+/// Full fused step as **one streaming sweep**, returning the [`KernelClass`]
+/// that served the interior. Each z-pencil of the slab is walked once: its
+/// interior runs go through the lane kernel selected by
+/// [`crate::simd::select_fast_path`] (runtime CPU detection, `SWLB_NO_SIMD`,
+/// [`crate::simd::LanePolicy`]), and each gap between runs through the generic
+/// per-cell update with the caller's `collision`. Equivalent to
+/// [`fused_step`]: bit-for-bit on the scalar-semantics lanes, within 1e-12
+/// under the AVX2/AVX-512 lanes (FMA contraction is the only rounding
+/// difference).
 ///
-/// The caller's `collision` is threaded through unchanged: plain constant-ω BGK
-/// takes the interior fast path (+ generic remainder with the *same*
-/// `CollisionKind` — no lossy ω→τ→ω reconstruction), while every other
-/// operator (LES, forced BGK, MRT) falls back to the generic kernel for the
-/// whole slab. `tile_z` blocks the interior sweep in z (`0` = no tiling). The
-/// interior/vector/scalar choice is resolved by [`crate::simd::select_fast_path`]
-/// (runtime CPU detection, `SWLB_NO_SIMD`, [`crate::simd::LanePolicy`]).
+/// Plain constant-ω BGK takes the sweep; every other operator (LES, forced
+/// BGK, MRT) runs the generic kernel over the whole slab.
 pub fn fused_step_optimized(
     flags: &FlagField,
     src: &SoaField<D3Q19>,
@@ -810,23 +373,12 @@ pub fn fused_step_optimized(
     collision: &CollisionKind,
     interior: &InteriorIndex,
     ys: Range<usize>,
-    tile_z: usize,
 ) -> KernelClass {
-    fused_step_optimized_rect(
-        flags,
-        src,
-        dst,
-        collision,
-        interior,
-        0..flags.dims().nx,
-        ys,
-        tile_z,
-    )
+    fused_step_optimized_rect(flags, src, dst, collision, interior, 0..flags.dims().nx, ys)
 }
 
 /// [`fused_step_optimized`] restricted to the x range `xr` (used by the
 /// distributed engine for the inner rectangle of a subdomain).
-#[allow(clippy::too_many_arguments)]
 pub fn fused_step_optimized_rect(
     flags: &FlagField,
     src: &SoaField<D3Q19>,
@@ -835,139 +387,120 @@ pub fn fused_step_optimized_rect(
     interior: &InteriorIndex,
     xr: Range<usize>,
     ys: Range<usize>,
-    tile_z: usize,
 ) -> KernelClass {
-    let omega = match collision {
-        CollisionKind::Bgk(p) => p.omega,
-        // Variable-ω / forced / moment-space operators have no hand-optimized
-        // interior kernel; run the generic reference kernel on the whole rect.
-        _ => {
-            fused_step_rect::<D3Q19, _>(flags, src, dst, collision, xr, ys);
-            return KernelClass::Generic;
-        }
+    let CollisionKind::Bgk(p) = collision else {
+        // Variable-ω / forced / moment-space operators have no lane kernel;
+        // run the generic reference kernel on the whole rect.
+        fused_step_rect::<D3Q19, _>(flags, src, dst, collision, xr, ys);
+        return KernelClass::Generic;
     };
     let (path, class) = crate::simd::select_fast_path();
-    // SAFETY: `&mut dst` proves exclusive access to the destination.
+    // SAFETY: `&mut dst` proves exclusive access to a distinct destination;
+    // the runs came from this geometry's flags.
     unsafe {
-        let draw = dst.raw_mut().as_mut_ptr();
-        match path {
-            FastPath::MaskScalar => d3q19_interior_raw(
-                flags,
-                src.raw(),
-                draw,
-                omega,
-                xr.clone(),
-                ys.clone(),
-                tile_z,
-                interior.mask(),
-            ),
-            _ => crate::simd::d3q19_interior_simd(
-                flags,
-                src.raw(),
-                draw,
-                omega,
-                xr.clone(),
-                ys.clone(),
-                tile_z,
-                interior.runs(),
-                path,
-            ),
-        }
-    }
-    // Finish every cell the fast path skipped, with the caller's collision.
-    let mask = interior.mask();
-    let dims = flags.dims();
-    let mut f = [0.0; MAX_Q];
-    for y in ys {
-        for x in xr.clone() {
-            for z in 0..dims.nz {
-                let this = dims.idx(x, y, z);
-                if mask[this] {
-                    continue;
-                }
-                let kind = flags.kind(this);
-                if kind.is_fluid() || kind.is_nebb() {
-                    gather_pull::<D3Q19, _>(flags, src, x, y, z, &mut f[..19]);
-                    reconstruct_nebb::<D3Q19>(&mut f[..19], kind);
-                    collide::<D3Q19>(&mut f[..19], collision);
-                    dst.store_cell(this, &f[..19]);
-                } else {
-                    apply_non_fluid::<D3Q19, _>(flags, src, dst, x, y, z, kind);
-                }
-            }
-        }
-    }
+        crate::simd::d3q19_sweep(
+            flags,
+            src,
+            dst.raw_mut().as_mut_ptr(),
+            collision,
+            p.omega,
+            xr,
+            ys,
+            interior.runs(),
+            path,
+        )
+    };
     class
 }
 
-/// Scalar AA-pattern interior driver — the [`FastPath::MaskScalar`] twin of
-/// [`d3q19_interior_raw`]: the same z-tiled loop nest and per-cell mask test,
-/// dispatching the odd or even in-place cell update by `parity`.
+/// One generic AA-pattern update of cell `(x, y, z)` of the single grid
+/// `raw` — the per-cell body of [`aa_generic_rect`], also used for the gaps
+/// of the optimized AA sweep. Solid cells are left untouched (their slots are
+/// bounce-back mailboxes); open boundary kinds panic. `f` is scratch of at
+/// least `L::Q`.
 ///
 /// # Safety
-/// `raw` must point at `19 * cells` writable scalars; `interior_mask` must be
-/// the current [`interior_mask`] of `flags` (certifying in-bounds gathers *and*
-/// scatters); concurrent callers must cover disjoint cell sets (the AA
-/// slot-ownership discipline makes cross-slab scatters race-free).
+/// As [`aa_generic_rect`], for the one cell.
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn aa_d3q19_interior_raw(
+#[inline]
+pub(crate) unsafe fn aa_generic_cell<L: Lattice>(
     flags: &FlagField,
     raw: *mut Scalar,
-    omega: Scalar,
+    collision: &CollisionKind,
     parity: AaParity,
-    xr: Range<usize>,
-    ys: Range<usize>,
-    tile_z: usize,
-    interior_mask: &[bool],
+    x: usize,
+    y: usize,
+    z: usize,
+    f: &mut [Scalar],
 ) {
     let dims = flags.dims();
-    let (nx, ny, nz) = (dims.nx, dims.ny, dims.nz);
-    if nx < 3 || ny < 3 || nz < 3 {
-        return; // no interior at all; generic path covers everything
-    }
     let cells = dims.cells();
-    debug_assert_eq!(interior_mask.len(), cells);
-
-    let mut off = [0isize; 19];
-    for q in 0..19 {
-        let c = D3Q19::C[q];
-        off[q] = -((c[1] as isize * nx as isize + c[0] as isize) * nz as isize + c[2] as isize);
+    let this = dims.idx(x, y, z);
+    match flags.kind(this) {
+        NodeKind::Fluid => {}
+        NodeKind::Wall | NodeKind::MovingWall { .. } => return,
+        other => panic!(
+            "AA-pattern streaming supports Fluid/Wall/MovingWall only, \
+             found {other:?} at ({x},{y},{z}); use StorageScheme::Ab \
+             for open/NEBB boundaries"
+        ),
     }
-
-    let y0 = ys.start.max(1);
-    let y1 = ys.end.min(ny - 1);
-    let x0 = xr.start.max(1);
-    let x1 = xr.end.min(nx - 1);
-    let z0 = 1;
-    let z1 = nz - 1;
-    let tile = if tile_z == 0 { z1 - z0 } else { tile_z };
-
-    let mut zt = z0;
-    while zt < z1 {
-        let zt_end = (zt + tile).min(z1);
-        for y in y0..y1 {
-            for x in x0..x1 {
-                let base = (y * nx + x) * nz;
-                for z in zt..zt_end {
-                    let this = base + z;
-                    if !interior_mask[this] {
-                        continue;
+    // SAFETY (all raw accesses below): caller contract — `raw` covers
+    // `L::Q * cells` scalars and every index is a wrapped in-grid cell.
+    match parity {
+        AaParity::Reversed => {
+            // Odd step: the reversed slot (x, q) holds f*_opp(q)(x), so
+            // direction q's incoming population sits in plane opp(q) of the
+            // upwind neighbor — or, against a wall, bounced back in our own
+            // plane q.
+            for q in 0..L::Q {
+                let c = L::C[q];
+                let [a, b, d] = dims.neighbor_periodic(x, y, z, [-c[0], -c[1], -c[2]]);
+                let n = dims.idx(a, b, d);
+                f[q] = match flags.kind(n) {
+                    NodeKind::Wall => unsafe { *raw.add(q * cells + this) },
+                    NodeKind::MovingWall { u } => {
+                        let cu =
+                            c[0] as Scalar * u[0] + c[1] as Scalar * u[1] + c[2] as Scalar * u[2];
+                        unsafe { *raw.add(q * cells + this) + 6.0 * L::W[q] * cu }
                     }
-                    // SAFETY: the mask certifies an interior cell (all 18
-                    // gather sources and scatter targets in bounds); the
-                    // caller certifies the buffer and cell-set disjointness.
-                    unsafe {
-                        match parity {
-                            AaParity::Reversed => {
-                                aa_odd_cell_update(raw, cells, &off, this, omega)
-                            }
-                            AaParity::Streamed => aa_even_cell_update(raw, cells, this, omega),
-                        }
-                    };
-                }
+                    _ => unsafe { *raw.add(L::OPP[q] * cells + n) },
+                };
+            }
+            collide::<L>(&mut f[..L::Q], collision);
+            // Scatter unconditionally — writes into solid neighbors are the
+            // bounce-back mailboxes the even step reads.
+            for q in 0..L::Q {
+                let c = L::C[q];
+                let [a, b, d] = dims.neighbor_periodic(x, y, z, [c[0], c[1], c[2]]);
+                unsafe { *raw.add(q * cells + dims.idx(a, b, d)) = f[q] };
             }
         }
-        zt = zt_end;
+        AaParity::Streamed => {
+            // Even step: the odd scatter already streamed, so slot (y, q)
+            // holds f_q(y) — except where the writer cell is solid, in which
+            // case our own odd scatter parked f*_opp(q)(y) in the wall's
+            // mailbox (n, opp(q)).
+            for q in 0..L::Q {
+                let c = L::C[q];
+                let [a, b, d] = dims.neighbor_periodic(x, y, z, [-c[0], -c[1], -c[2]]);
+                let n = dims.idx(a, b, d);
+                f[q] = match flags.kind(n) {
+                    NodeKind::Wall => unsafe { *raw.add(L::OPP[q] * cells + n) },
+                    NodeKind::MovingWall { u } => {
+                        let cu =
+                            c[0] as Scalar * u[0] + c[1] as Scalar * u[1] + c[2] as Scalar * u[2];
+                        unsafe { *raw.add(L::OPP[q] * cells + n) + 6.0 * L::W[q] * cu }
+                    }
+                    _ => unsafe { *raw.add(q * cells + this) },
+                };
+            }
+            collide::<L>(&mut f[..L::Q], collision);
+            // Store locally reversed, returning to the Reversed state.
+            for q in 0..L::Q {
+                unsafe { *raw.add(L::OPP[q] * cells + this) = f[q] };
+            }
+        }
     }
 }
 
@@ -980,8 +513,7 @@ pub(crate) unsafe fn aa_d3q19_interior_raw(
 /// step (pull reversed neighbor slots, collide, scatter to neighbors — grid
 /// becomes `Streamed`); `Streamed` runs the even step (gather own slots /
 /// wall mailboxes, collide, store locally reversed — grid becomes
-/// `Reversed`). Cells where `skip_mask` is `true` are left untouched, which
-/// is how the optimized dispatch runs only the boundary-shell remainder.
+/// `Reversed`).
 ///
 /// Solid cells are never processed; their slots serve as bounce-back
 /// mailboxes and hold scheme-dependent (but always finite) values.
@@ -992,7 +524,6 @@ pub(crate) unsafe fn aa_d3q19_interior_raw(
 /// slot-ownership discipline (each slot is read and written only by the one
 /// cell that owns it, gather-before-scatter) makes cross-slab odd-step
 /// scatters race-free under any partition or pass order.
-#[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn aa_generic_rect<L: Lattice>(
     flags: &FlagField,
     raw: *mut Scalar,
@@ -1000,91 +531,15 @@ pub(crate) unsafe fn aa_generic_rect<L: Lattice>(
     parity: AaParity,
     xr: Range<usize>,
     ys: Range<usize>,
-    skip_mask: Option<&[bool]>,
 ) {
     let dims = flags.dims();
     debug_assert!(ys.end <= dims.ny && xr.end <= dims.nx);
-    let cells = dims.cells();
     let mut f = [0.0; MAX_Q];
     for y in ys {
         for x in xr.clone() {
             for z in 0..dims.nz {
-                let this = dims.idx(x, y, z);
-                if let Some(mask) = skip_mask {
-                    if mask[this] {
-                        continue;
-                    }
-                }
-                let kind = flags.kind(this);
-                match kind {
-                    NodeKind::Fluid => {}
-                    NodeKind::Wall | NodeKind::MovingWall { .. } => continue,
-                    other => panic!(
-                        "AA-pattern streaming supports Fluid/Wall/MovingWall only, \
-                         found {other:?} at ({x},{y},{z}); use StorageScheme::Ab \
-                         for open/NEBB boundaries"
-                    ),
-                }
-                match parity {
-                    AaParity::Reversed => {
-                        // Odd step: the reversed slot (x, q) holds f*_opp(q)(x),
-                        // so direction q's incoming population sits in plane
-                        // opp(q) of the upwind neighbor — or, against a wall,
-                        // bounced back in our own plane q.
-                        for q in 0..L::Q {
-                            let c = L::C[q];
-                            let [a, b, d] =
-                                dims.neighbor_periodic(x, y, z, [-c[0], -c[1], -c[2]]);
-                            let n = dims.idx(a, b, d);
-                            f[q] = match flags.kind(n) {
-                                NodeKind::Wall => *raw.add(q * cells + this),
-                                NodeKind::MovingWall { u } => {
-                                    let cu = c[0] as Scalar * u[0]
-                                        + c[1] as Scalar * u[1]
-                                        + c[2] as Scalar * u[2];
-                                    *raw.add(q * cells + this) + 6.0 * L::W[q] * cu
-                                }
-                                _ => *raw.add(L::OPP[q] * cells + n),
-                            };
-                        }
-                        collide::<L>(&mut f[..L::Q], collision);
-                        // Scatter unconditionally — writes into solid neighbors
-                        // are the bounce-back mailboxes the even step reads.
-                        for q in 0..L::Q {
-                            let c = L::C[q];
-                            let [a, b, d] = dims.neighbor_periodic(x, y, z, [c[0], c[1], c[2]]);
-                            let m = dims.idx(a, b, d);
-                            *raw.add(q * cells + m) = f[q];
-                        }
-                    }
-                    AaParity::Streamed => {
-                        // Even step: the odd scatter already streamed, so slot
-                        // (y, q) holds f_q(y) — except where the writer cell is
-                        // solid, in which case our own odd scatter parked
-                        // f*_opp(q)(y) in the wall's mailbox (n, opp(q)).
-                        for q in 0..L::Q {
-                            let c = L::C[q];
-                            let [a, b, d] =
-                                dims.neighbor_periodic(x, y, z, [-c[0], -c[1], -c[2]]);
-                            let n = dims.idx(a, b, d);
-                            f[q] = match flags.kind(n) {
-                                NodeKind::Wall => *raw.add(L::OPP[q] * cells + n),
-                                NodeKind::MovingWall { u } => {
-                                    let cu = c[0] as Scalar * u[0]
-                                        + c[1] as Scalar * u[1]
-                                        + c[2] as Scalar * u[2];
-                                    *raw.add(L::OPP[q] * cells + n) + 6.0 * L::W[q] * cu
-                                }
-                                _ => *raw.add(q * cells + this),
-                            };
-                        }
-                        collide::<L>(&mut f[..L::Q], collision);
-                        // Store locally reversed, returning to the Reversed state.
-                        for q in 0..L::Q {
-                            *raw.add(L::OPP[q] * cells + this) = f[q];
-                        }
-                    }
-                }
+                // SAFETY: caller contract.
+                unsafe { aa_generic_cell::<L>(flags, raw, collision, parity, x, y, z, &mut f) };
             }
         }
     }
@@ -1110,15 +565,15 @@ pub fn aa_step_rect<L: Lattice>(
             parity,
             xr,
             ys,
-            None,
         );
     }
 }
 
 /// AA-pattern counterpart of [`fused_step_optimized`]: one in-place AA
-/// half-step over the y-slab `ys`, fastest eligible interior kernel plus the
-/// generic AA sweep on the boundary shell. The grid's parity flips after this
-/// returns (the caller owns the parity bookkeeping).
+/// half-step over the y-slab `ys` as one streaming sweep (interior runs
+/// through the lane kernel, gaps through the generic AA cell update). The
+/// grid's parity flips after this returns (the caller owns the parity
+/// bookkeeping).
 pub fn aa_fused_step_optimized(
     flags: &FlagField,
     field: &mut SoaField<D3Q19>,
@@ -1126,7 +581,6 @@ pub fn aa_fused_step_optimized(
     interior: &InteriorIndex,
     parity: AaParity,
     ys: Range<usize>,
-    tile_z: usize,
 ) -> KernelClass {
     aa_fused_step_optimized_rect(
         flags,
@@ -1136,13 +590,11 @@ pub fn aa_fused_step_optimized(
         parity,
         0..flags.dims().nx,
         ys,
-        tile_z,
     )
 }
 
 /// [`aa_fused_step_optimized`] restricted to the x range `xr` (used by the
 /// distributed engine for the inner rectangle of a subdomain).
-#[allow(clippy::too_many_arguments)]
 pub fn aa_fused_step_optimized_rect(
     flags: &FlagField,
     field: &mut SoaField<D3Q19>,
@@ -1151,51 +603,31 @@ pub fn aa_fused_step_optimized_rect(
     parity: AaParity,
     xr: Range<usize>,
     ys: Range<usize>,
-    tile_z: usize,
 ) -> KernelClass {
     let raw = field.raw_mut().as_mut_ptr();
-    let omega = match collision {
-        CollisionKind::Bgk(p) => p.omega,
-        // No hand-optimized AA interior kernel for variable-ω / forced /
-        // moment-space operators; run the generic AA sweep on the whole rect.
-        _ => {
-            // SAFETY: `&mut field` proves exclusive access.
-            unsafe { aa_generic_rect::<D3Q19>(flags, raw, collision, parity, xr, ys, None) };
-            return KernelClass::Generic;
-        }
+    let CollisionKind::Bgk(p) = collision else {
+        // No AA lane kernel for variable-ω / forced / moment-space operators;
+        // run the generic AA sweep on the whole rect.
+        // SAFETY: `&mut field` proves exclusive access.
+        unsafe { aa_generic_rect::<D3Q19>(flags, raw, collision, parity, xr, ys) };
+        return KernelClass::Generic;
     };
     let (path, class) = crate::simd::select_fast_path();
-    // SAFETY: `&mut field` proves exclusive access; the interior index came
-    // from this geometry's flags; slot ownership makes the interior-then-
-    // remainder pass order race-free (each slot is read and written only by
-    // the single cell that owns it, which gathers before scattering).
+    // SAFETY: `&mut field` proves exclusive access; the runs came from this
+    // geometry's flags; slot ownership makes any visit order race-free.
     unsafe {
-        match path {
-            FastPath::MaskScalar => aa_d3q19_interior_raw(
-                flags,
-                raw,
-                omega,
-                parity,
-                xr.clone(),
-                ys.clone(),
-                tile_z,
-                interior.mask(),
-            ),
-            _ => crate::simd::aa_d3q19_interior_simd(
-                flags,
-                raw,
-                omega,
-                parity,
-                xr.clone(),
-                ys.clone(),
-                tile_z,
-                interior.runs(),
-                path,
-            ),
-        }
-        // Finish every cell the fast path skipped, with the caller's collision.
-        aa_generic_rect::<D3Q19>(flags, raw, collision, parity, xr, ys, Some(interior.mask()));
-    }
+        crate::simd::aa_d3q19_sweep(
+            flags,
+            raw,
+            collision,
+            p.omega,
+            parity,
+            xr,
+            ys,
+            interior.runs(),
+            path,
+        )
+    };
     class
 }
 
@@ -1412,32 +844,20 @@ mod tests {
         let mut ref_dst = SoaField::<D3Q19>::new(dims);
         fused_step(&flags, &src, &mut ref_dst, &coll);
 
-        // Every tile size must agree: bit-for-bit on the scalar-semantics
-        // paths (the collision kind is threaded through with no ω→τ→ω
-        // round-trip and tiling only permutes independent per-cell updates),
-        // within 1e-12 when the AVX2+FMA lane is auto-selected.
+        // Bit-for-bit on the scalar-semantics paths (the collision kind is
+        // threaded through with no ω→τ→ω round-trip), within 1e-12 when an
+        // FMA lane is auto-selected.
         let tol = crate::simd::dispatch_tolerance();
-        for tile_z in [0, 1, 2, 3, 70] {
-            let mut opt_dst = SoaField::<D3Q19>::new(dims);
-            let class = fused_step_optimized(
-                &flags,
-                &src,
-                &mut opt_dst,
-                &coll,
-                &interior,
-                0..dims.ny,
-                tile_z,
-            );
-            assert_ne!(class, KernelClass::Generic, "BGK must take a fast path");
-
-            for c in 0..dims.cells() {
-                for q in 0..19 {
-                    let (r, o) = (ref_dst.get(c, q), opt_dst.get(c, q));
-                    assert!(
-                        (r - o).abs() <= tol,
-                        "tile_z {tile_z} cell {c} q {q}: generic {r} vs optimized {o} (tol {tol:e})"
-                    );
-                }
+        let mut opt_dst = SoaField::<D3Q19>::new(dims);
+        let class = fused_step_optimized(&flags, &src, &mut opt_dst, &coll, &interior, 0..dims.ny);
+        assert_ne!(class, KernelClass::Generic, "BGK must take a fast path");
+        for c in 0..dims.cells() {
+            for q in 0..19 {
+                let (r, o) = (ref_dst.get(c, q), opt_dst.get(c, q));
+                assert!(
+                    (r - o).abs() <= tol,
+                    "cell {c} q {q}: generic {r} vs optimized {o} (tol {tol:e})"
+                );
             }
         }
     }
@@ -1456,8 +876,7 @@ mod tests {
         let mut ref_dst = SoaField::<D3Q19>::new(dims);
         fused_step(&flags, &src, &mut ref_dst, &coll);
         let mut opt_dst = SoaField::<D3Q19>::new(dims);
-        let class =
-            fused_step_optimized(&flags, &src, &mut opt_dst, &coll, &interior, 0..dims.ny, 2);
+        let class = fused_step_optimized(&flags, &src, &mut opt_dst, &coll, &interior, 0..dims.ny);
         assert_eq!(class, KernelClass::Generic);
         for c in 0..dims.cells() {
             for q in 0..19 {
@@ -1501,73 +920,61 @@ mod tests {
 
     #[test]
     fn simd_interior_kernel_matches_scalar_on_runs() {
-        // Direct kernel-level check: portable lane bit-exact vs the mask-based
-        // scalar kernel; AVX2 lane (when present) within 1e-12.
-        let dims = GridDims::new(8, 6, 13); // nz−2 = 11: full lanes + remainder
+        // Direct sweep-level check over every lane: the 4- and 8-wide portable
+        // lanes are bit-exact against the one-wide scalar lane, the hardware
+        // lanes (when present) within 1e-12.
+        use crate::simd::{avx512_available, d3q19_sweep, simd_available, FastPath};
+        let dims = GridDims::new(8, 6, 29); // nz−2 = 27: full 8-lanes + tails
         let mut flags = FlagField::new(dims);
         flags.set_box_walls();
         flags.set(3, 2, 6, NodeKind::Wall); // split runs mid-pencil
         let src: SoaField<D3Q19> = setup_random_field(dims, 77);
         let interior = InteriorIndex::build::<D3Q19>(&flags);
-        let omega = BgkParams::from_tau(0.85).omega;
-
-        let mut scalar_dst = SoaField::<D3Q19>::new(dims);
-        fused_step_d3q19_interior_tiled(
-            &flags,
-            &src,
-            &mut scalar_dst,
-            omega,
-            0..dims.nx,
-            0..dims.ny,
-            0,
-            interior.mask(),
-        );
-
-        for tile_z in [0, 1, 3, 70] {
-            let mut simd_dst = SoaField::<D3Q19>::new(dims);
-            fused_step_d3q19_interior_simd(
-                &flags,
-                &src,
-                &mut simd_dst,
-                omega,
-                0..dims.nx,
-                0..dims.ny,
-                tile_z,
-                interior.runs(),
-                true, // portable lane: must be bit-exact
-            );
-            for c in 0..dims.cells() {
-                for q in 0..19 {
-                    assert_eq!(
-                        scalar_dst.get(c, q),
-                        simd_dst.get(c, q),
-                        "portable lane diverged: tile_z {tile_z} cell {c} q {q}"
-                    );
-                }
-            }
-
-            if crate::simd::simd_available() {
-                let mut avx_dst = SoaField::<D3Q19>::new(dims);
-                fused_step_d3q19_interior_simd(
+        let coll = CollisionKind::Bgk(BgkParams::from_tau(0.85));
+        let sweep = |path: FastPath| {
+            let mut dst = SoaField::<D3Q19>::new(dims);
+            // SAFETY: fresh exclusive destination; runs from these flags;
+            // hardware paths are only requested when detected below.
+            unsafe {
+                d3q19_sweep(
                     &flags,
                     &src,
-                    &mut avx_dst,
-                    omega,
+                    dst.raw_mut().as_mut_ptr(),
+                    &coll,
+                    BgkParams::from_tau(0.85).omega,
                     0..dims.nx,
                     0..dims.ny,
-                    tile_z,
                     interior.runs(),
-                    false,
+                    path,
+                )
+            };
+            dst
+        };
+
+        let scalar = sweep(FastPath::Scalar);
+        let mut generic = SoaField::<D3Q19>::new(dims);
+        fused_step(&flags, &src, &mut generic, &coll);
+        assert_eq!(
+            scalar.raw(),
+            generic.raw(),
+            "scalar lane diverged from generic"
+        );
+        for path in [FastPath::Portable, FastPath::Portable8] {
+            assert_eq!(scalar.raw(), sweep(path).raw(), "{path:?} lane diverged");
+        }
+        let mut hw = Vec::new();
+        if simd_available() {
+            hw.push(FastPath::Avx2);
+        }
+        if avx512_available() {
+            hw.push(FastPath::Avx512);
+        }
+        for path in hw {
+            for (s, v) in scalar.raw().iter().zip(sweep(path).raw()) {
+                assert!(
+                    (s - v).abs() <= 1e-12,
+                    "{path:?} out of tolerance: {s} vs {v}"
                 );
-                for c in 0..dims.cells() {
-                    for q in 0..19 {
-                        let (s, v) = (scalar_dst.get(c, q), avx_dst.get(c, q));
-                        assert!(
-                            (s - v).abs() <= 1e-12,
-                            "avx2 lane out of tolerance: tile_z {tile_z} cell {c} q {q}: {s} vs {v}"
-                        );
-                    }
-                }
             }
         }
     }

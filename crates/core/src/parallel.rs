@@ -14,26 +14,20 @@
 //! Work is distributed by atomic slab stealing over a contiguous, balanced
 //! y-partition; the caller participates as worker 0.
 //!
-//! Each slab dispatches the fastest eligible D3Q19 interior kernel (with
-//! z-tile cache blocking, the CPU mirror of the paper's 64×3×70 CPE tiling)
-//! when the field is SoA/D3Q19, the collision is plain BGK, and the caller
-//! supplied an interior index: the AVX2+FMA vectorized kernel over run-length
-//! interior runs when the CPU supports it, else the portable-lane or scalar
-//! kernel (see [`crate::simd`]). Everything else — other lattices, layouts and
-//! operators, and the non-interior remainder cells — runs the generic
-//! reference kernel. Results are bit-for-bit identical to
-//! [`crate::kernels::fused_step`] regardless of thread count or tile size on
-//! the scalar-semantics paths (per-cell updates are independent), and within
-//! 1e-12 under the AVX2+FMA lane.
+//! Each slab is one streaming sweep (see [`crate::simd::d3q19_sweep`]) when
+//! the field is SoA/D3Q19, the collision is plain BGK, and the caller supplied
+//! an interior index: every z-pencil is walked once, its interior runs go
+//! through the fastest eligible lane kernel (AVX-512, AVX2+FMA, portable or
+//! scalar; see [`crate::simd`]) and the gaps between runs through the generic
+//! per-cell update. Everything else — other lattices, layouts and operators —
+//! runs the generic reference kernel over the whole slab. Results are
+//! bit-for-bit identical to [`crate::kernels::fused_step`] regardless of
+//! thread count on the scalar-semantics paths (per-cell updates are
+//! independent), and within 1e-12 under the FMA lanes.
 
-use crate::boundary::NodeKind;
-use crate::collision::{collide, CollisionKind};
-use crate::equilibrium::equilibrium;
+use crate::collision::CollisionKind;
 use crate::flags::FlagField;
-use crate::kernels::{
-    aa_d3q19_interior_raw, aa_generic_rect, d3q19_interior_raw, gather_pull, InteriorIndex,
-    InteriorRuns, MAX_Q,
-};
+use crate::kernels::{aa_generic_rect, generic_rect, InteriorIndex, InteriorRuns};
 use crate::lattice::{Lattice, D3Q19};
 use crate::layout::{AaParity, PopField, SoaField};
 use crate::simd::{FastPath, KernelClass};
@@ -46,36 +40,19 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// Default z-tile extent: the paper's CPE blocking is 64×3×70 (x×y×z), so 70
-/// z-cells per tile is the direct mapping (see `docs/PERFORMANCE.md`).
-pub const DEFAULT_TILE_Z: usize = 70;
-
 /// A `Send + Sync` writer over a population field's raw storage.
 ///
 /// # Safety contract
 /// Constructed from a uniquely-borrowed field; concurrent users must write
 /// disjoint `(cell, q)` index sets. The parallel driver below guarantees this by
 /// assigning disjoint y-slabs.
-struct SharedWriter {
-    ptr: *mut Scalar,
-    len: usize,
-}
+struct SharedWriter(*mut Scalar);
 
 // SAFETY: the pointer refers to a buffer whose unique borrow is held (and not
 // otherwise used) for the lifetime of the job; disjointness of writes is
 // guaranteed by the slab partition.
 unsafe impl Send for SharedWriter {}
 unsafe impl Sync for SharedWriter {}
-
-impl SharedWriter {
-    /// # Safety
-    /// `index < len` and no other thread writes the same index concurrently.
-    #[inline(always)]
-    unsafe fn write(&self, index: usize, v: Scalar) {
-        debug_assert!(index < self.len);
-        unsafe { *self.ptr.add(index) = v };
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Persistent worker pool.
@@ -160,15 +137,14 @@ fn worker_loop(shared: Arc<PoolShared>) {
     }
 }
 
-/// Thread-count + tile-size configuration and the persistent worker pool that
-/// executes fused steps.
+/// Thread-count configuration and the persistent worker pool that executes
+/// fused steps.
 ///
 /// Cloning is cheap and shares the underlying workers. Equality and `Debug`
 /// look at the configuration only.
 #[derive(Clone)]
 pub struct ThreadPool {
     threads: usize,
-    tile_z: usize,
     inner: Option<Arc<PoolInner>>,
 }
 
@@ -176,14 +152,13 @@ impl fmt::Debug for ThreadPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ThreadPool")
             .field("threads", &self.threads)
-            .field("tile_z", &self.tile_z)
             .finish()
     }
 }
 
 impl PartialEq for ThreadPool {
     fn eq(&self, other: &Self) -> bool {
-        self.threads == other.threads && self.tile_z == other.tile_z
+        self.threads == other.threads
     }
 }
 
@@ -218,11 +193,7 @@ impl ThreadPool {
                 handles: Mutex::new(handles),
             })
         });
-        Self {
-            threads,
-            tile_z: DEFAULT_TILE_Z,
-            inner,
-        }
+        Self { threads, inner }
     }
 
     /// Use the machine's available parallelism.
@@ -234,21 +205,9 @@ impl ThreadPool {
         )
     }
 
-    /// Set the z-tile extent for the optimized interior kernel (`0` disables
-    /// tiling). Default: [`DEFAULT_TILE_Z`].
-    pub fn with_tile_z(mut self, tile_z: usize) -> Self {
-        self.tile_z = tile_z;
-        self
-    }
-
     /// Number of worker threads (including the calling thread).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// z-tile extent used by the optimized interior kernel.
-    pub fn tile_z(&self) -> usize {
-        self.tile_z
     }
 
     /// Partition `0..ny` into at most `threads` contiguous, balanced slabs.
@@ -261,13 +220,12 @@ impl ThreadPool {
     /// the [`KernelClass`] that served the interior cells.
     ///
     /// Produces the same `dst` state as [`crate::kernels::fused_step`]
-    /// (verified by tests and property tests), independent of thread count and
-    /// tile size — bit-for-bit on the scalar-semantics paths, within 1e-12
-    /// under the AVX2+FMA lane. When `interior` is supplied, the field is
-    /// SoA/D3Q19 and the collision is plain BGK, interior cells run the
-    /// fastest eligible kernel (vectorized over interior runs, or scalar; with
-    /// z-tile blocking) and only the remainder takes the generic path;
-    /// otherwise the whole slab runs the generic kernel.
+    /// (verified by tests and property tests), independent of thread count —
+    /// bit-for-bit on the scalar-semantics paths, within 1e-12 under the FMA
+    /// lanes. When `interior` is supplied, the field is SoA/D3Q19 and the
+    /// collision is plain BGK, each slab is one streaming sweep (interior runs
+    /// through the fastest eligible lane kernel, gaps through the generic
+    /// per-cell update); otherwise the whole slab runs the generic kernel.
     pub fn fused_step<L: Lattice, F: PopField<L>>(
         &self,
         flags: &FlagField,
@@ -301,18 +259,10 @@ impl ThreadPool {
         // Fast-path eligibility: plain constant-ω BGK on an SoA/D3Q19 field
         // with a caller-provided interior index.
         let fast = match (collision, interior) {
-            (CollisionKind::Bgk(p), Some(_)) => (src as &dyn Any)
+            (CollisionKind::Bgk(p), Some(ix)) => (src as &dyn Any)
                 .downcast_ref::<SoaField<D3Q19>>()
-                .map(|s| (s.raw(), p.omega)),
+                .map(|s| (s, p.omega, ix.runs())),
             _ => None,
-        };
-        // The generic remainder skips fast-path cells only when the fast
-        // kernel actually ran; otherwise it must cover every cell.
-        let (skip_mask, runs) = if fast.is_some() {
-            let ix = interior.expect("fast implies interior");
-            (Some(ix.mask()), Some(ix.runs()))
-        } else {
-            (None, None)
         };
         let (path, class) = crate::simd::select_fast_path();
         let class = if fast.is_some() {
@@ -321,25 +271,16 @@ impl ThreadPool {
             KernelClass::Generic
         };
 
-        let raw = dst.raw_mut();
-        let writer = SharedWriter {
-            ptr: raw.as_mut_ptr(),
-            len: raw.len(),
-        };
         let n_slabs = self.threads.min(ny);
         let ctx = StepCtx::<L, F> {
             flags,
             src,
-            writer,
+            writer: SharedWriter(dst.raw_mut().as_mut_ptr()),
             collision,
-            fast_sraw: fast.map(|(s, _)| s),
-            omega: fast.map(|(_, o)| o).unwrap_or(0.0),
-            skip_mask,
-            runs,
+            fast,
             path,
             xr,
             yr,
-            tile_z: self.tile_z,
             n_slabs,
             next: AtomicUsize::new(0),
             _lattice: std::marker::PhantomData,
@@ -394,9 +335,8 @@ impl ThreadPool {
     /// and written only by the single cell that owns it, which gathers before
     /// scattering — makes the odd step's cross-slab scatters race-free for any
     /// slab partition, so the same atomic slab-stealing driver as
-    /// [`ThreadPool::fused_step`] applies unchanged. Thread count and tile
-    /// size never change the result (bit-for-bit on scalar-semantics paths,
-    /// within 1e-12 under FMA lanes).
+    /// [`ThreadPool::fused_step`] applies unchanged. Thread count never
+    /// changes the result (bit-for-bit on every lane).
     pub fn aa_fused_step<L: Lattice>(
         &self,
         flags: &FlagField,
@@ -429,41 +369,31 @@ impl ThreadPool {
         }
         // Fast-path eligibility mirrors `step_rect`: plain constant-ω BGK on a
         // D3Q19 grid with a caller-provided interior index.
-        let omega = match collision {
-            CollisionKind::Bgk(p) => p.omega,
-            _ => 0.0,
-        };
-        let fast = matches!(collision, CollisionKind::Bgk(_))
-            && interior.is_some()
-            && std::any::TypeId::of::<L>() == std::any::TypeId::of::<D3Q19>();
-        let (skip_mask, runs) = if fast {
-            let ix = interior.expect("fast implies interior");
-            (Some(ix.mask()), Some(ix.runs()))
-        } else {
-            (None, None)
+        let fast = match (collision, interior) {
+            (CollisionKind::Bgk(p), Some(ix))
+                if std::any::TypeId::of::<L>() == std::any::TypeId::of::<D3Q19>() =>
+            {
+                Some((p.omega, ix.runs()))
+            }
+            _ => None,
         };
         let (path, class) = crate::simd::select_fast_path();
-        let class = if fast { class } else { KernelClass::Generic };
-
-        let raw = field.raw_mut();
-        let grid = SharedWriter {
-            ptr: raw.as_mut_ptr(),
-            len: raw.len(),
+        let class = if fast.is_some() {
+            class
+        } else {
+            KernelClass::Generic
         };
+
         let n_slabs = self.threads.min(ny);
         let ctx = AaStepCtx::<L> {
             flags,
-            grid,
+            grid: SharedWriter(field.raw_mut().as_mut_ptr()),
             collision,
             parity,
             fast,
-            omega,
-            skip_mask,
-            runs,
             path,
             xr,
             yr,
-            tile_z: self.tile_z,
             n_slabs,
             next: AtomicUsize::new(0),
             _lattice: std::marker::PhantomData,
@@ -532,18 +462,12 @@ struct StepCtx<'a, L: Lattice, F: PopField<L>> {
     src: &'a F,
     writer: SharedWriter,
     collision: &'a CollisionKind,
-    /// `Some` ⇒ run the optimized D3Q19 interior kernel on masked cells.
-    fast_sraw: Option<&'a [Scalar]>,
-    omega: Scalar,
-    /// `Some` ⇒ the generic remainder skips cells the fast path covered.
-    skip_mask: Option<&'a [bool]>,
-    /// Run-length interior view for the vectorized kernel (set iff fast path).
-    runs: Option<&'a InteriorRuns>,
-    /// Which interior kernel the fast path executes (resolved once per step).
+    /// `Some((src, ω, runs))` ⇒ each slab is one streaming sweep.
+    fast: Option<(&'a SoaField<D3Q19>, Scalar, &'a InteriorRuns)>,
+    /// Which lane the sweep executes (resolved once per step).
     path: FastPath,
     xr: Range<usize>,
     yr: Range<usize>,
-    tile_z: usize,
     n_slabs: usize,
     next: AtomicUsize,
     _lattice: std::marker::PhantomData<L>,
@@ -562,45 +486,28 @@ unsafe fn run_step_job<L: Lattice, F: PopField<L>>(ctx: *const ()) {
             break;
         }
         let ys = slab_range(&ctx.yr, i, ctx.n_slabs);
-        if let (Some(sraw), Some(mask)) = (ctx.fast_sraw, ctx.skip_mask) {
-            // SAFETY: disjoint y-slabs ⇒ disjoint writes; writer length checked
-            // at construction. Slabs never split a z-pencil, so the vectorized
-            // run iteration is identical for every thread count.
-            unsafe {
-                match ctx.path {
-                    FastPath::MaskScalar => d3q19_interior_raw(
-                        ctx.flags,
-                        sraw,
-                        ctx.writer.ptr,
-                        ctx.omega,
-                        ctx.xr.clone(),
-                        ys.clone(),
-                        ctx.tile_z,
-                        mask,
-                    ),
-                    _ => crate::simd::d3q19_interior_simd(
-                        ctx.flags,
-                        sraw,
-                        ctx.writer.ptr,
-                        ctx.omega,
-                        ctx.xr.clone(),
-                        ys.clone(),
-                        ctx.tile_z,
-                        ctx.runs.expect("fast path implies runs"),
-                        ctx.path,
-                    ),
+        let xr = ctx.xr.clone();
+        // SAFETY: disjoint y-slabs ⇒ disjoint writes into a buffer of the
+        // source's layout. Slabs never split a z-pencil, so the lane/tail
+        // split of every run is identical for every thread count.
+        unsafe {
+            match ctx.fast {
+                Some((src, omega, runs)) => crate::simd::d3q19_sweep(
+                    ctx.flags,
+                    src,
+                    ctx.writer.0,
+                    ctx.collision,
+                    omega,
+                    xr,
+                    ys,
+                    runs,
+                    ctx.path,
+                ),
+                None => {
+                    generic_rect::<L, F>(ctx.flags, ctx.src, ctx.writer.0, ctx.collision, xr, ys)
                 }
             }
         }
-        step_slab_rect::<L, F>(
-            ctx.flags,
-            ctx.src,
-            &ctx.writer,
-            ctx.collision,
-            ctx.xr.clone(),
-            ys,
-            ctx.skip_mask,
-        );
     }
 }
 
@@ -614,17 +521,11 @@ struct AaStepCtx<'a, L: Lattice> {
     collision: &'a CollisionKind,
     /// The grid's current state (selects the odd or even step flavor).
     parity: AaParity,
-    /// `true` ⇒ run the optimized D3Q19 AA interior kernel on masked cells.
-    fast: bool,
-    omega: Scalar,
-    /// `Some` ⇒ the generic remainder skips cells the fast path covered.
-    skip_mask: Option<&'a [bool]>,
-    /// Run-length interior view for the vectorized kernel (set iff fast path).
-    runs: Option<&'a InteriorRuns>,
+    /// `Some((ω, runs))` ⇒ each slab is one streaming sweep.
+    fast: Option<(Scalar, &'a InteriorRuns)>,
     path: FastPath,
     xr: Range<usize>,
     yr: Range<usize>,
-    tile_z: usize,
     n_slabs: usize,
     next: AtomicUsize,
     _lattice: std::marker::PhantomData<L>,
@@ -643,107 +544,26 @@ unsafe fn run_aa_step_job<L: Lattice>(ctx: *const ()) {
             break;
         }
         let ys = slab_range(&ctx.yr, i, ctx.n_slabs);
-        if ctx.fast {
-            // SAFETY: slot ownership ⇒ disjoint slot access across slabs even
-            // for cross-slab odd scatters; grid length checked at construction.
-            // Slabs never split a z-pencil, so the vectorized run iteration is
-            // identical for every thread count.
-            unsafe {
-                match ctx.path {
-                    FastPath::MaskScalar => aa_d3q19_interior_raw(
-                        ctx.flags,
-                        ctx.grid.ptr,
-                        ctx.omega,
-                        ctx.parity,
-                        ctx.xr.clone(),
-                        ys.clone(),
-                        ctx.tile_z,
-                        ctx.skip_mask.expect("fast path implies mask"),
-                    ),
-                    _ => crate::simd::aa_d3q19_interior_simd(
-                        ctx.flags,
-                        ctx.grid.ptr,
-                        ctx.omega,
-                        ctx.parity,
-                        ctx.xr.clone(),
-                        ys.clone(),
-                        ctx.tile_z,
-                        ctx.runs.expect("fast path implies runs"),
-                        ctx.path,
-                    ),
-                }
-            }
-        }
-        // SAFETY: as above — each cell is processed exactly once across all
-        // slabs and passes, and every slot has a single owning cell.
+        let xr = ctx.xr.clone();
+        // SAFETY: slot ownership ⇒ disjoint slot access across slabs even for
+        // cross-slab odd scatters; each cell is processed exactly once. Slabs
+        // never split a z-pencil, so the lane/tail split of every run is
+        // identical for every thread count.
         unsafe {
-            aa_generic_rect::<L>(
-                ctx.flags,
-                ctx.grid.ptr,
-                ctx.collision,
-                ctx.parity,
-                ctx.xr.clone(),
-                ys,
-                ctx.skip_mask,
-            )
-        };
-    }
-}
-
-/// Per-thread generic body: fused step over one slab of the rectangle, writing
-/// through the shared writer. When `skip_mask` is given, cells flagged there
-/// were already produced by the optimized interior kernel and are skipped.
-fn step_slab_rect<L: Lattice, F: PopField<L>>(
-    flags: &FlagField,
-    src: &F,
-    writer: &SharedWriter,
-    collision: &CollisionKind,
-    xr: Range<usize>,
-    ys: Range<usize>,
-    skip_mask: Option<&[bool]>,
-) {
-    let dims = flags.dims();
-    let mut f = [0.0; MAX_Q];
-    for y in ys {
-        for x in xr.clone() {
-            for z in 0..dims.nz {
-                let this = dims.idx(x, y, z);
-                if skip_mask.is_some_and(|m| m[this]) {
-                    continue;
-                }
-                let kind = flags.kind(this);
-                match kind {
-                    NodeKind::Fluid
-                    | NodeKind::VelocityNebb { .. }
-                    | NodeKind::PressureNebb { .. } => {
-                        gather_pull::<L, F>(flags, src, x, y, z, &mut f[..L::Q]);
-                        crate::kernels::reconstruct_nebb::<L>(&mut f[..L::Q], kind);
-                        collide::<L>(&mut f[..L::Q], collision);
-                        for q in 0..L::Q {
-                            // SAFETY: (this, q) is inside this thread's slab.
-                            unsafe { writer.write(src.index_of(this, q), f[q]) };
-                        }
-                    }
-                    NodeKind::Wall | NodeKind::MovingWall { .. } => {
-                        for q in 0..L::Q {
-                            unsafe { writer.write(src.index_of(this, q), src.get(this, q)) };
-                        }
-                    }
-                    NodeKind::Inlet { rho, u } => {
-                        equilibrium::<L>(rho, u, &mut f[..L::Q]);
-                        for q in 0..L::Q {
-                            unsafe { writer.write(src.index_of(this, q), f[q]) };
-                        }
-                    }
-                    NodeKind::Outlet { normal } => {
-                        let m = dims
-                            .neighbor_checked(x, y, z, [-normal[0], -normal[1], -normal[2]])
-                            .map(|[a, b, c]| dims.idx(a, b, c))
-                            .unwrap_or(this);
-                        for q in 0..L::Q {
-                            unsafe { writer.write(src.index_of(this, q), src.get(m, q)) };
-                        }
-                    }
+            match ctx.fast {
+                Some((omega, runs)) => crate::simd::aa_d3q19_sweep(
+                    ctx.flags,
+                    ctx.grid.0,
+                    ctx.collision,
+                    omega,
+                    ctx.parity,
+                    xr,
+                    ys,
+                    runs,
+                    ctx.path,
+                ),
+                None => {
+                    aa_generic_rect::<L>(ctx.flags, ctx.grid.0, ctx.collision, ctx.parity, xr, ys)
                 }
             }
         }
@@ -753,6 +573,7 @@ fn step_slab_rect<L: Lattice, F: PopField<L>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::boundary::NodeKind;
     use crate::collision::BgkParams;
     use crate::geometry::GridDims;
     use crate::kernels::fused_step;
@@ -837,29 +658,20 @@ mod tests {
         let mut serial = SoaField::<D3Q19>::new(dims);
         fused_step(&flags, &src, &mut serial, &coll);
 
-        // Bit-exact on the scalar-semantics paths; 1e-12 under the AVX2 lane
-        // (tile clipping changes the vector/scalar chunk split between tile_z
-        // values, so FMA contraction shifts which cells see fused roundings).
+        // Bit-exact on the scalar-semantics paths; 1e-12 under the FMA lanes.
         let tol = crate::simd::dispatch_tolerance();
         for threads in [1, 2, 4] {
-            for tile_z in [0, 1, 3, 70] {
-                let mut par = SoaField::<D3Q19>::new(dims);
-                let class = ThreadPool::new(threads).with_tile_z(tile_z).fused_step(
-                    &flags,
-                    &src,
-                    &mut par,
-                    &coll,
-                    Some(&interior),
-                );
-                assert_ne!(class, KernelClass::Generic);
-                for c in 0..dims.cells() {
-                    for q in 0..19 {
-                        let (s, p) = (serial.get(c, q), par.get(c, q));
-                        assert!(
-                            (s - p).abs() <= tol,
-                            "threads={threads} tile_z={tile_z} cell={c} q={q}: {s} vs {p}"
-                        );
-                    }
+            let mut par = SoaField::<D3Q19>::new(dims);
+            let class =
+                ThreadPool::new(threads).fused_step(&flags, &src, &mut par, &coll, Some(&interior));
+            assert_ne!(class, KernelClass::Generic);
+            for c in 0..dims.cells() {
+                for q in 0..19 {
+                    let (s, p) = (serial.get(c, q), par.get(c, q));
+                    assert!(
+                        (s - p).abs() <= tol,
+                        "threads={threads} cell={c} q={q}: {s} vs {p}"
+                    );
                 }
             }
         }
@@ -867,9 +679,9 @@ mod tests {
 
     #[test]
     fn pooled_dispatch_is_thread_count_invariant_bitwise() {
-        // Unlike tile_z, the thread count never changes results bitwise even
-        // under FMA: y-slabs never split a z-pencil, so the vector/scalar
-        // chunking of every run is identical for every slab partition.
+        // The thread count never changes results bitwise, even under FMA:
+        // y-slabs never split a z-pencil, so the vector/scalar chunking of
+        // every run is identical for every slab partition.
         let dims = GridDims::new(9, 11, 7);
         let mut flags = FlagField::new(dims);
         flags.set_box_walls();
@@ -879,22 +691,10 @@ mod tests {
         let interior = InteriorIndex::build::<D3Q19>(&flags);
 
         let mut one = SoaField::<D3Q19>::new(dims);
-        ThreadPool::new(1).with_tile_z(3).fused_step(
-            &flags,
-            &src,
-            &mut one,
-            &coll,
-            Some(&interior),
-        );
+        ThreadPool::new(1).fused_step(&flags, &src, &mut one, &coll, Some(&interior));
         for threads in [2, 4, 8] {
             let mut par = SoaField::<D3Q19>::new(dims);
-            ThreadPool::new(threads).with_tile_z(3).fused_step(
-                &flags,
-                &src,
-                &mut par,
-                &coll,
-                Some(&interior),
-            );
+            ThreadPool::new(threads).fused_step(&flags, &src, &mut par, &coll, Some(&interior));
             for c in 0..dims.cells() {
                 for q in 0..19 {
                     assert_eq!(one.get(c, q), par.get(c, q), "threads={threads} cell={c}");
@@ -905,7 +705,7 @@ mod tests {
 
     #[test]
     fn rect_dispatch_composes_with_ring() {
-        // Computing the inner rectangle (pooled, masked) and the boundary ring
+        // Computing the inner rectangle (pooled sweep) and the boundary ring
         // (generic) separately must reproduce the full-domain step — the same
         // decomposition the distributed engine uses.
         let dims = GridDims::new(10, 9, 6);
@@ -918,7 +718,7 @@ mod tests {
         let mut whole = SoaField::<D3Q19>::new(dims);
         fused_step(&flags, &src, &mut whole, &coll);
 
-        let pool = ThreadPool::new(3).with_tile_z(2);
+        let pool = ThreadPool::new(3);
         let mut pieces = SoaField::<D3Q19>::new(dims);
         pool.step_rect::<D3Q19, _>(
             &flags,

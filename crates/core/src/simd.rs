@@ -8,19 +8,18 @@
 //! * an AVX2+FMA lane (`std::arch` intrinsics behind `is_x86_feature_detected!`),
 //! * a portable `[f64; 4]` lane that compiles everywhere and carries exactly the
 //!   scalar kernel's rounding (every lane op is a separately rounded f64 op, so
-//!   the expression tree matches [`crate::kernels`]' scalar interior kernel
-//!   bit for bit),
+//!   the expression tree matches the generic BGK collision bit for bit),
 //!
-//! and the vectorized interior kernel [`d3q19_interior_simd`], which consumes
-//! precomputed run-length-encoded interior runs ([`crate::kernels::InteriorRuns`])
-//! instead of testing a per-cell `Vec<bool>` mask: the SoA layout is z-innermost
-//! (`idx = (y·nx + x)·nz + z`), so within a run all 19 pull-scheme gathers are
-//! plain contiguous (unaligned) lane-wide loads from a shifted line. Sub-lane
-//! remainders fall back to the shared scalar per-cell update, so coverage is
-//! identical to the mask-based scalar kernel. The same lanes also drive the
-//! AA-pattern single-grid interior kernels ([`aa_d3q19_interior_simd`]): the odd
-//! flavor pulls from reversed slots and scatters, the even flavor is a purely
-//! local load/collide/reversed-store permute.
+//! and the streaming sweeps [`d3q19_sweep`] (AB) and [`aa_d3q19_sweep`] (AA),
+//! which walk each z-pencil once: its precomputed run-length-encoded interior
+//! runs ([`crate::kernels::InteriorRuns`]) go through the lane kernel, each
+//! gap between runs through the generic per-cell update. The SoA layout is
+//! z-innermost (`idx = (y·nx + x)·nz + z`), so within a run all 19
+//! pull-scheme gathers are plain contiguous (unaligned) lane-wide loads from
+//! a shifted line. Sub-lane run tails go through the one-wide [`ScalarLane`],
+//! which rounds exactly like the scalar reference. For AA the odd flavor
+//! pulls from reversed slots and scatters, the even flavor is a purely local
+//! load/collide/reversed-store permute.
 //!
 //! Lane widths: the AVX2 lane and the default portable lane are 4 × f64
 //! ([`LANES`]); an 8 × f64 AVX-512F lane (plus a bit-exact `[f64; 8]` portable
@@ -36,18 +35,20 @@
 //!   `a*b + c` into one rounding).
 //! * `SWLB_NO_SIMD=1` in the environment, or no vector unit → the portable lane
 //!   ([`KernelClass::Scalar`]); results are bit-exact against the scalar kernel.
-//! * Benchmarks force the legacy mask-based scalar kernel via
-//!   [`LanePolicy::ForceScalar`] for honest scalar baselines; equivalence runs
-//!   pin specific lanes via `ForcePortable`/`ForceAvx2`/`ForceAvx512`.
+//! * Benchmarks force the one-wide scalar lane via [`LanePolicy::ForceScalar`]
+//!   for honest scalar baselines; equivalence runs pin specific lanes via
+//!   `ForcePortable`/`ForceAvx2`/`ForceAvx512`.
 //!
 //! The module also hosts the host-metadata helpers (`cpu_features`,
 //! `logical_cores`, `physical_cores`) that bench output and the CLI exit
 //! summary embed so performance anomalies are diagnosable from the JSON alone.
 
+use crate::collision::CollisionKind;
 use crate::flags::FlagField;
-use crate::kernels::InteriorRuns;
+use crate::geometry::GridDims;
+use crate::kernels::{aa_generic_cell, generic_cell, InteriorRuns, MAX_Q};
 use crate::lattice::{Lattice, D3Q19};
-use crate::layout::AaParity;
+use crate::layout::{AaParity, PopField, SoaField};
 use crate::Scalar;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -69,8 +70,8 @@ pub enum KernelClass {
     /// Generic reference kernel (non-BGK collision, non-SoA layout, or a
     /// lattice without a fast path).
     Generic,
-    /// Scalar-semantics interior fast path: the mask-based hand-optimized
-    /// kernel or the portable lane (both bit-exact against the reference).
+    /// Scalar-semantics interior fast path: the one-wide scalar lane or a
+    /// portable lane (all bit-exact against the reference).
     Scalar,
     /// AVX2+FMA vectorized interior fast path (within 1e-12 of the reference).
     Simd,
@@ -118,7 +119,7 @@ pub enum LanePolicy {
     Auto,
     /// Always run the portable `[f64; 4]` lane (scalar-exact).
     ForcePortable,
-    /// Always run the legacy mask-based scalar interior kernel.
+    /// Always run the one-wide scalar lane.
     ForceScalar,
     /// Pin the 4-wide AVX2+FMA lane even when AVX-512F is available (falls back
     /// to the portable 4-wide lane on CPUs without AVX2+FMA).
@@ -204,15 +205,15 @@ pub(crate) enum FastPath {
     /// Portable `[f64; 8]` lane over interior runs (scalar-exact, 8-wide
     /// chunking — the software twin of the AVX-512 lane).
     Portable8,
-    /// Legacy mask-based scalar kernel ([`crate::kernels::fused_step_d3q19_interior_tiled`]).
-    MaskScalar,
+    /// One-wide `f64` lane over interior runs: the scalar kernel.
+    Scalar,
 }
 
 /// Resolve the lane policy, environment and CPU into the fast path an eligible
 /// step will take, plus the [`KernelClass`] it reports.
 pub(crate) fn select_fast_path() -> (FastPath, KernelClass) {
     match lane_policy() {
-        LanePolicy::ForceScalar => (FastPath::MaskScalar, KernelClass::Scalar),
+        LanePolicy::ForceScalar => (FastPath::Scalar, KernelClass::Scalar),
         LanePolicy::ForcePortable => (FastPath::Portable, KernelClass::Scalar),
         LanePolicy::ForceAvx2 => {
             if !no_simd_env() && simd_available() {
@@ -416,6 +417,14 @@ portable_lane!(
     "portable"
 );
 portable_lane!(
+    /// One-wide lane: the scalar kernel. `ForceScalar` sweeps with it, and
+    /// every wider lane finishes its sub-lane run tails with it, so tails
+    /// round exactly like the scalar reference.
+    ScalarLane,
+    1,
+    "scalar"
+);
+portable_lane!(
     /// Portable 8-wide lane: the software twin of the AVX-512 lane. Same
     /// scalar-exact rounding as [`PortableLane`], but 8-wide chunking, so
     /// `ForceAvx512`-pinned runs reproduce the AVX-512 vector/scalar chunk
@@ -597,14 +606,13 @@ mod avx512 {
 use avx512::Avx512Lane;
 
 // ---------------------------------------------------------------------------
-// The vectorized interior kernel.
+// The lane kernels and the streaming sweeps.
 // ---------------------------------------------------------------------------
 
 /// The D3Q19 BGK collision applied to one lane group of pre-gathered
-/// populations — the vector transliteration of the scalar
-/// [`crate::kernels::d3q19_collide_scalar`], shared by the AB and both AA
-/// lane kernels. Same expression tree as the scalar body, so the portable
-/// instantiations are bit-exact.
+/// populations, shared by the AB and both AA lane kernels. Same expression
+/// tree as the generic BGK collision, so the scalar and portable
+/// instantiations are bit-exact against the reference kernel.
 #[inline(always)]
 fn lane_collide<V: Lane>(f: &mut [V; 19], omega: Scalar) {
     // Moments: same left-associated reduction order as the scalar kernel.
@@ -709,11 +717,10 @@ fn lane_collide<V: Lane>(f: &mut [V; 19], omega: Scalar) {
 
 /// One lane-wide fused AB update of [`Lane::WIDTH`] consecutive-z interior
 /// cells starting at linear index `this`: pull-gather from `sraw`, collide,
-/// store to `draw` — the vector transliteration of the scalar
-/// `d3q19_cell_update` in [`crate::kernels`].
+/// store to `draw`.
 ///
 /// # Safety
-/// Cells `this .. this + WIDTH` must all be interior (per the interior mask),
+/// Cells `this .. this + WIDTH` must all be interior (inside one run),
 /// `sraw`/`draw` must cover `19 * cells` scalars, and no other thread may
 /// write these cells concurrently.
 #[inline(always)]
@@ -812,370 +819,262 @@ unsafe fn aa_even_lane_update<V: Lane>(raw: *mut Scalar, cells: usize, this: usi
                (11, 12) (12, 11) (13, 14) (14, 13) (15, 16) (16, 15) (17, 18) (18, 17));
 }
 
-/// Shared loop nest: z-tiles × y × x pencils × interior runs, full lanes
-/// through [`lane_update`], sub-lane remainders through the scalar per-cell
-/// update — so every run cell is covered exactly once, matching the mask.
+/// Per-direction linear offset of the pull source (`x − c_q`) on a
+/// z-innermost grid.
+fn pull_offsets(dims: GridDims) -> [isize; 19] {
+    let (nx, nz) = (dims.nx as isize, dims.nz as isize);
+    std::array::from_fn(|q| {
+        let c = D3Q19::C[q];
+        -((c[1] as isize * nx + c[0] as isize) * nz + c[2] as isize)
+    })
+}
+
+/// The AB streaming sweep over `xr × ys`: each z-pencil is walked once, in
+/// ascending z. Interior runs go through [`lane_update`] in full `V` lanes
+/// with sub-lane tails on [`ScalarLane`]; every other cell (walls, fluid next
+/// to walls, ghost and boundary cells) goes through the generic per-cell
+/// update with the caller's `collision` where the walk meets it.
 ///
 /// # Safety
-/// See [`d3q19_interior_simd`].
+/// See [`d3q19_sweep`].
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-unsafe fn interior_runs_impl<V: Lane>(
+unsafe fn ab_sweep_impl<V: Lane>(
     flags: &FlagField,
-    sraw: &[Scalar],
+    src: &SoaField<D3Q19>,
     draw: *mut Scalar,
+    collision: &CollisionKind,
     omega: Scalar,
     xr: Range<usize>,
     ys: Range<usize>,
-    tile_z: usize,
     runs: &InteriorRuns,
 ) {
     let dims = flags.dims();
-    let (nx, ny, nz) = (dims.nx, dims.ny, dims.nz);
-    if nx < 3 || ny < 3 || nz < 3 {
-        return; // no interior at all; generic path covers everything
-    }
-    let cells = dims.cells();
+    let (nx, nz, cells) = (dims.nx, dims.nz, dims.cells());
+    let sraw = src.raw();
     debug_assert_eq!(sraw.len(), 19 * cells);
-
-    let mut off = [0isize; 19];
-    for q in 0..19 {
-        let c = D3Q19::C[q];
-        off[q] = -((c[1] as isize * nx as isize + c[0] as isize) * nz as isize + c[2] as isize);
-    }
-
-    let y0 = ys.start.max(1);
-    let y1 = ys.end.min(ny - 1);
-    let x0 = xr.start.max(1);
-    let x1 = xr.end.min(nx - 1);
-    let z0 = 1;
-    let z1 = nz - 1;
-    let tile = if tile_z == 0 { z1 - z0 } else { tile_z };
-
-    let mut zt = z0;
-    while zt < z1 {
-        let zt_end = (zt + tile).min(z1);
-        for y in y0..y1 {
-            for x in x0..x1 {
-                let pencil = y * nx + x;
-                let base = pencil * nz;
-                for &(rz0, rz1) in runs.pencil(pencil) {
-                    let a = (rz0 as usize).max(zt);
-                    let b = (rz1 as usize).min(zt_end);
-                    let mut z = a;
-                    while z + V::WIDTH <= b {
-                        // SAFETY: the run certifies cells base+z .. base+z+WIDTH
-                        // interior; caller certifies buffers and exclusivity.
-                        unsafe { lane_update::<V>(sraw, draw, cells, &off, base + z, omega) };
-                        z += V::WIDTH;
-                    }
-                    while z < b {
-                        // SAFETY: as above, single interior cell.
-                        unsafe {
-                            crate::kernels::d3q19_cell_update(
-                                sraw,
-                                draw,
-                                cells,
-                                &off,
-                                base + z,
-                                omega,
-                            )
-                        };
-                        z += 1;
-                    }
+    let off = pull_offsets(dims);
+    let mut f = [0.0; MAX_Q];
+    // SAFETY (all calls below): a run certifies its cells interior (all 18
+    // pull sources in bounds); the caller certifies buffers and exclusivity.
+    let mut gap = |z0: usize, z1: usize, x: usize, y: usize| {
+        for z in z0..z1 {
+            unsafe { generic_cell::<D3Q19, _>(flags, src, draw, collision, x, y, z, &mut f) };
+        }
+    };
+    for y in ys {
+        for x in xr.clone() {
+            let pencil = y * nx + x;
+            let base = pencil * nz;
+            let mut z = 0;
+            for &(rz0, rz1) in runs.pencil(pencil) {
+                let (rz0, rz1) = (rz0 as usize, rz1 as usize);
+                gap(z, rz0, x, y);
+                z = rz0;
+                while z + V::WIDTH <= rz1 {
+                    unsafe { lane_update::<V>(sraw, draw, cells, &off, base + z, omega) };
+                    z += V::WIDTH;
+                }
+                while z < rz1 {
+                    unsafe { lane_update::<ScalarLane>(sraw, draw, cells, &off, base + z, omega) };
+                    z += 1;
                 }
             }
+            gap(z, nz, x, y);
         }
-        zt = zt_end;
     }
 }
 
-/// The AA-pattern twin of [`interior_runs_impl`]: same z-tiles × y × x pencils
-/// × interior-runs loop nest (so the vector/scalar chunk split per cell is
-/// identical to the AB kernel at equal lane width), dispatching the odd or even
-/// AA lane update per [`AaParity`], with the matching scalar per-cell updates
-/// covering sub-lane remainders.
+/// The AA twin of [`ab_sweep_impl`]: the same pencil walk (so the lane/tail
+/// split per cell is identical to the AB sweep at equal lane width), running
+/// the odd or even AA lane update per [`AaParity`] on interior runs and the
+/// generic AA cell update on the gaps.
 ///
 /// # Safety
-/// See [`aa_d3q19_interior_simd`].
+/// See [`aa_d3q19_sweep`].
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-unsafe fn aa_interior_runs_impl<V: Lane>(
+unsafe fn aa_sweep_impl<V: Lane>(
     flags: &FlagField,
     raw: *mut Scalar,
+    collision: &CollisionKind,
     omega: Scalar,
     parity: AaParity,
     xr: Range<usize>,
     ys: Range<usize>,
-    tile_z: usize,
     runs: &InteriorRuns,
 ) {
     let dims = flags.dims();
-    let (nx, ny, nz) = (dims.nx, dims.ny, dims.nz);
-    if nx < 3 || ny < 3 || nz < 3 {
-        return; // no interior at all; generic path covers everything
+    let (nx, nz, cells) = (dims.nx, dims.nz, dims.cells());
+    let off = pull_offsets(dims);
+    let mut f = [0.0; MAX_Q];
+    // SAFETY (all calls below): a run certifies its cells interior (all 18
+    // neighbors fluid and in bounds, so odd scatters stay in bounds); the
+    // caller certifies the buffer and the AA slot-ownership argument.
+    let mut gap = |z0: usize, z1: usize, x: usize, y: usize| {
+        for z in z0..z1 {
+            unsafe { aa_generic_cell::<D3Q19>(flags, raw, collision, parity, x, y, z, &mut f) };
+        }
+    };
+    macro_rules! run {
+        ($lane:ty, $this:expr) => {
+            match parity {
+                AaParity::Reversed => unsafe {
+                    aa_odd_lane_update::<$lane>(raw, cells, &off, $this, omega)
+                },
+                AaParity::Streamed => unsafe {
+                    aa_even_lane_update::<$lane>(raw, cells, $this, omega)
+                },
+            }
+        };
     }
-    let cells = dims.cells();
-
-    let mut off = [0isize; 19];
-    for q in 0..19 {
-        let c = D3Q19::C[q];
-        off[q] = -((c[1] as isize * nx as isize + c[0] as isize) * nz as isize + c[2] as isize);
-    }
-
-    let y0 = ys.start.max(1);
-    let y1 = ys.end.min(ny - 1);
-    let x0 = xr.start.max(1);
-    let x1 = xr.end.min(nx - 1);
-    let z0 = 1;
-    let z1 = nz - 1;
-    let tile = if tile_z == 0 { z1 - z0 } else { tile_z };
-
-    let mut zt = z0;
-    while zt < z1 {
-        let zt_end = (zt + tile).min(z1);
-        for y in y0..y1 {
-            for x in x0..x1 {
-                let pencil = y * nx + x;
-                let base = pencil * nz;
-                for &(rz0, rz1) in runs.pencil(pencil) {
-                    let a = (rz0 as usize).max(zt);
-                    let b = (rz1 as usize).min(zt_end);
-                    let mut z = a;
-                    while z + V::WIDTH <= b {
-                        // SAFETY: the run certifies cells base+z .. base+z+WIDTH
-                        // interior (all 18 neighbors fluid and in bounds, so odd
-                        // scatters stay in bounds); caller certifies the buffer
-                        // and the AA slot-ownership race-freedom argument.
-                        unsafe {
-                            match parity {
-                                AaParity::Reversed => {
-                                    aa_odd_lane_update::<V>(raw, cells, &off, base + z, omega)
-                                }
-                                AaParity::Streamed => {
-                                    aa_even_lane_update::<V>(raw, cells, base + z, omega)
-                                }
-                            }
-                        };
-                        z += V::WIDTH;
-                    }
-                    while z < b {
-                        // SAFETY: as above, single interior cell.
-                        unsafe {
-                            match parity {
-                                AaParity::Reversed => crate::kernels::aa_odd_cell_update(
-                                    raw,
-                                    cells,
-                                    &off,
-                                    base + z,
-                                    omega,
-                                ),
-                                AaParity::Streamed => crate::kernels::aa_even_cell_update(
-                                    raw,
-                                    cells,
-                                    base + z,
-                                    omega,
-                                ),
-                            }
-                        };
-                        z += 1;
-                    }
+    for y in ys {
+        for x in xr.clone() {
+            let pencil = y * nx + x;
+            let base = pencil * nz;
+            let mut z = 0;
+            for &(rz0, rz1) in runs.pencil(pencil) {
+                let (rz0, rz1) = (rz0 as usize, rz1 as usize);
+                gap(z, rz0, x, y);
+                z = rz0;
+                while z + V::WIDTH <= rz1 {
+                    run!(V, base + z);
+                    z += V::WIDTH;
+                }
+                while z < rz1 {
+                    run!(ScalarLane, base + z);
+                    z += 1;
                 }
             }
+            gap(z, nz, x, y);
         }
-        zt = zt_end;
     }
 }
 
-/// AVX2+FMA instantiation. The `target_feature` wrapper makes every intrinsic
-/// inline into one feature-enabled region (no per-op function calls).
-///
-/// # Safety
-/// CPU must support AVX2 and FMA (checked by the dispatcher), plus the
-/// contract of [`d3q19_interior_simd`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn interior_runs_avx2(
-    flags: &FlagField,
-    sraw: &[Scalar],
-    draw: *mut Scalar,
-    omega: Scalar,
-    xr: Range<usize>,
-    ys: Range<usize>,
-    tile_z: usize,
-    runs: &InteriorRuns,
-) {
-    unsafe { interior_runs_impl::<Avx2Lane>(flags, sraw, draw, omega, xr, ys, tile_z, runs) };
+/// Instantiates `$impl` for one hardware lane inside a `target_feature`
+/// wrapper, so every intrinsic inlines into one feature-enabled region (no
+/// per-op function calls).
+macro_rules! hw_sweep {
+    ($name:ident, $impl:ident, $lane:ty, $feat:literal, ($($arg:ident: $ty:ty),*)) => {
+        /// # Safety
+        /// The CPU must support the enabled features (checked by the
+        /// dispatcher), plus the contract of the dispatching sweep.
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = $feat)]
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn $name($($arg: $ty),*) {
+            unsafe { $impl::<$lane>($($arg),*) };
+        }
+    };
 }
 
-/// AVX-512F instantiation of the AB interior kernel.
-///
-/// # Safety
-/// CPU must support AVX-512F (checked by the dispatcher), plus the contract of
-/// [`d3q19_interior_simd`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn interior_runs_avx512(
-    flags: &FlagField,
-    sraw: &[Scalar],
-    draw: *mut Scalar,
-    omega: Scalar,
-    xr: Range<usize>,
-    ys: Range<usize>,
-    tile_z: usize,
-    runs: &InteriorRuns,
-) {
-    unsafe { interior_runs_impl::<Avx512Lane>(flags, sraw, draw, omega, xr, ys, tile_z, runs) };
-}
+hw_sweep!(ab_sweep_avx2, ab_sweep_impl, Avx2Lane, "avx2,fma",
+    (flags: &FlagField, src: &SoaField<D3Q19>, draw: *mut Scalar, collision: &CollisionKind,
+     omega: Scalar, xr: Range<usize>, ys: Range<usize>, runs: &InteriorRuns));
+hw_sweep!(ab_sweep_avx512, ab_sweep_impl, Avx512Lane, "avx512f",
+    (flags: &FlagField, src: &SoaField<D3Q19>, draw: *mut Scalar, collision: &CollisionKind,
+     omega: Scalar, xr: Range<usize>, ys: Range<usize>, runs: &InteriorRuns));
+hw_sweep!(aa_sweep_avx2, aa_sweep_impl, Avx2Lane, "avx2,fma",
+    (flags: &FlagField, raw: *mut Scalar, collision: &CollisionKind, omega: Scalar,
+     parity: AaParity, xr: Range<usize>, ys: Range<usize>, runs: &InteriorRuns));
+hw_sweep!(aa_sweep_avx512, aa_sweep_impl, Avx512Lane, "avx512f",
+    (flags: &FlagField, raw: *mut Scalar, collision: &CollisionKind, omega: Scalar,
+     parity: AaParity, xr: Range<usize>, ys: Range<usize>, runs: &InteriorRuns));
 
-/// AVX2+FMA instantiation of the AA interior kernel.
+/// One AB stream+collide sweep over `xr × ys` (full z depth) with plain BGK
+/// relaxation rate `omega` on interior runs and the caller's `collision` on
+/// the gaps — the raw entry the unified dispatch (serial, pooled and
+/// distributed) shares. `path` selects the lane ([`select_fast_path`]).
 ///
 /// # Safety
-/// CPU must support AVX2 and FMA, plus the contract of
-/// [`aa_d3q19_interior_simd`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn aa_interior_runs_avx2(
-    flags: &FlagField,
-    raw: *mut Scalar,
-    omega: Scalar,
-    parity: AaParity,
-    xr: Range<usize>,
-    ys: Range<usize>,
-    tile_z: usize,
-    runs: &InteriorRuns,
-) {
-    unsafe { aa_interior_runs_impl::<Avx2Lane>(flags, raw, omega, parity, xr, ys, tile_z, runs) };
-}
-
-/// AVX-512F instantiation of the AA interior kernel.
-///
-/// # Safety
-/// CPU must support AVX-512F, plus the contract of [`aa_d3q19_interior_simd`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn aa_interior_runs_avx512(
-    flags: &FlagField,
-    raw: *mut Scalar,
-    omega: Scalar,
-    parity: AaParity,
-    xr: Range<usize>,
-    ys: Range<usize>,
-    tile_z: usize,
-    runs: &InteriorRuns,
-) {
-    unsafe { aa_interior_runs_impl::<Avx512Lane>(flags, raw, omega, parity, xr, ys, tile_z, runs) };
-}
-
-/// The vectorized fused D3Q19 interior kernel over run-length-encoded interior
-/// runs — the raw entry the unified dispatch (serial, pooled and distributed)
-/// shares. `path` selects the lane (resolved by [`select_fast_path`]);
-/// [`FastPath::MaskScalar`] is the caller's job, not this function's.
-///
-/// # Safety
-/// `draw` must point at `19 * cells` writable scalars, `runs` must describe
-/// interior cells of `flags` (every run cell has all 18 pull sources in
-/// bounds), no other thread may write any cell in `xr × ys` concurrently, and
-/// hardware lanes require their CPU feature (guaranteed by
+/// `draw` must point at `19 * cells` writable scalars distinct from `src`,
+/// `runs` must describe interior cells of `flags` (every run cell has all 18
+/// pull sources in bounds), no other thread may write any cell in `xr × ys`
+/// concurrently, and hardware lanes require their CPU feature (guaranteed by
 /// [`select_fast_path`]).
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn d3q19_interior_simd(
+pub(crate) unsafe fn d3q19_sweep(
     flags: &FlagField,
-    sraw: &[Scalar],
+    src: &SoaField<D3Q19>,
     draw: *mut Scalar,
+    collision: &CollisionKind,
     omega: Scalar,
     xr: Range<usize>,
     ys: Range<usize>,
-    tile_z: usize,
     runs: &InteriorRuns,
     path: FastPath,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match path {
-            FastPath::Avx512 => {
-                debug_assert!(avx512_available(), "AVX-512 lane dispatched without support");
-                // SAFETY: caller contract + feature check above.
-                return unsafe {
-                    interior_runs_avx512(flags, sraw, draw, omega, xr, ys, tile_z, runs)
-                };
-            }
-            FastPath::Avx2 => {
-                debug_assert!(simd_available(), "AVX2 lane dispatched without support");
-                // SAFETY: caller contract + feature check above.
-                return unsafe {
-                    interior_runs_avx2(flags, sraw, draw, omega, xr, ys, tile_z, runs)
-                };
-            }
-            _ => {}
-        }
-    }
-    // SAFETY: caller contract.
+    // SAFETY: caller contract; hardware paths are feature-checked upstream.
     unsafe {
         match path {
+            #[cfg(target_arch = "x86_64")]
+            FastPath::Avx512 => {
+                debug_assert!(
+                    avx512_available(),
+                    "AVX-512 lane dispatched without support"
+                );
+                ab_sweep_avx512(flags, src, draw, collision, omega, xr, ys, runs)
+            }
+            #[cfg(target_arch = "x86_64")]
+            FastPath::Avx2 => {
+                debug_assert!(simd_available(), "AVX2 lane dispatched without support");
+                ab_sweep_avx2(flags, src, draw, collision, omega, xr, ys, runs)
+            }
             FastPath::Portable8 => {
-                interior_runs_impl::<Portable8Lane>(flags, sraw, draw, omega, xr, ys, tile_z, runs)
+                ab_sweep_impl::<Portable8Lane>(flags, src, draw, collision, omega, xr, ys, runs)
             }
-            _ => {
-                interior_runs_impl::<PortableLane>(flags, sraw, draw, omega, xr, ys, tile_z, runs)
+            FastPath::Scalar => {
+                ab_sweep_impl::<ScalarLane>(flags, src, draw, collision, omega, xr, ys, runs)
             }
+            _ => ab_sweep_impl::<PortableLane>(flags, src, draw, collision, omega, xr, ys, runs),
         }
     }
 }
 
-/// The AA-pattern counterpart of [`d3q19_interior_simd`]: one in-place interior
-/// pass of the step flavor selected by `parity` over the single grid `raw`.
+/// The AA-pattern counterpart of [`d3q19_sweep`]: one in-place sweep of the
+/// step flavor selected by `parity` over the single grid `raw`.
 ///
 /// # Safety
 /// `raw` must point at `19 * cells` writable scalars; `runs` must describe
 /// interior cells of `flags`; no other code may read or write the grid during
-/// the pass except through the AA step itself (whose slot-ownership discipline
-/// makes concurrent slabs race-free); hardware lanes require their CPU feature.
+/// the sweep except through the AA step itself (whose slot-ownership
+/// discipline makes concurrent slabs race-free); hardware lanes require their
+/// CPU feature.
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn aa_d3q19_interior_simd(
+pub(crate) unsafe fn aa_d3q19_sweep(
     flags: &FlagField,
     raw: *mut Scalar,
+    collision: &CollisionKind,
     omega: Scalar,
     parity: AaParity,
     xr: Range<usize>,
     ys: Range<usize>,
-    tile_z: usize,
     runs: &InteriorRuns,
     path: FastPath,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match path {
-            FastPath::Avx512 => {
-                debug_assert!(avx512_available(), "AVX-512 lane dispatched without support");
-                // SAFETY: caller contract + feature check above.
-                return unsafe {
-                    aa_interior_runs_avx512(flags, raw, omega, parity, xr, ys, tile_z, runs)
-                };
-            }
-            FastPath::Avx2 => {
-                debug_assert!(simd_available(), "AVX2 lane dispatched without support");
-                // SAFETY: caller contract + feature check above.
-                return unsafe {
-                    aa_interior_runs_avx2(flags, raw, omega, parity, xr, ys, tile_z, runs)
-                };
-            }
-            _ => {}
-        }
-    }
-    // SAFETY: caller contract.
+    // SAFETY: caller contract; hardware paths are feature-checked upstream.
     unsafe {
         match path {
-            FastPath::Portable8 => aa_interior_runs_impl::<Portable8Lane>(
-                flags, raw, omega, parity, xr, ys, tile_z, runs,
-            ),
-            _ => aa_interior_runs_impl::<PortableLane>(
-                flags, raw, omega, parity, xr, ys, tile_z, runs,
-            ),
+            #[cfg(target_arch = "x86_64")]
+            FastPath::Avx512 => {
+                debug_assert!(
+                    avx512_available(),
+                    "AVX-512 lane dispatched without support"
+                );
+                aa_sweep_avx512(flags, raw, collision, omega, parity, xr, ys, runs)
+            }
+            #[cfg(target_arch = "x86_64")]
+            FastPath::Avx2 => {
+                debug_assert!(simd_available(), "AVX2 lane dispatched without support");
+                aa_sweep_avx2(flags, raw, collision, omega, parity, xr, ys, runs)
+            }
+            FastPath::Portable8 => {
+                aa_sweep_impl::<Portable8Lane>(flags, raw, collision, omega, parity, xr, ys, runs)
+            }
+            FastPath::Scalar => {
+                aa_sweep_impl::<ScalarLane>(flags, raw, collision, omega, parity, xr, ys, runs)
+            }
+            _ => aa_sweep_impl::<PortableLane>(flags, raw, collision, omega, parity, xr, ys, runs),
         }
     }
 }
@@ -1339,10 +1238,7 @@ mod tests {
     fn policy_roundtrip_and_selection() {
         let prev = lane_policy();
         set_lane_policy(LanePolicy::ForceScalar);
-        assert_eq!(
-            select_fast_path(),
-            (FastPath::MaskScalar, KernelClass::Scalar)
-        );
+        assert_eq!(select_fast_path(), (FastPath::Scalar, KernelClass::Scalar));
         set_lane_policy(LanePolicy::ForcePortable);
         assert_eq!(
             select_fast_path(),

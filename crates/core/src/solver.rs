@@ -4,20 +4,21 @@
 //! AA-pattern grid, per [`StorageScheme`]), the flag field and the collision
 //! parameters, and advances the lattice in time through **one unified
 //! execution pipeline**: every step goes through [`ThreadPool::fused_step`]
-//! (AB) or [`ThreadPool::aa_fused_step`] (AA), which dispatch the
-//! hand-optimized D3Q19 interior kernel (z-tile blocked) per y-slab whenever
-//! the field/collision combination supports it and the generic reference
-//! kernel everywhere else. Thread count and tile size are configuration, not
-//! modes — a 1-thread pool runs inline with no worker threads and identical
-//! (bit-exact) results. It is the unit the distributed engine (`swlb-sim`)
+//! (AB) or [`ThreadPool::aa_fused_step`] (AA), which run one streaming sweep
+//! per y-slab — interior runs through the hand-optimized D3Q19 lane kernel,
+//! gaps through the generic per-cell update — whenever the field/collision
+//! combination supports it, and the generic reference kernel everywhere
+//! else. Thread count is configuration, not a mode — a 1-thread pool runs
+//! inline with no worker threads and identical (bit-exact) results. It is the unit the distributed engine (`swlb-sim`)
 //! instantiates per rank, and the reference implementation the architecture
 //! emulator (`swlb-arch`) is validated against.
 //!
 //! Construction goes through [`SolverBuilder`] — the single path for dims,
-//! collision, storage scheme, thread pool, tile size and observability
-//! recorder. The historical `Solver::new` + `with_*` chain and the `ExecMode`
-//! selector were removed after every in-tree caller migrated; contradictory
-//! settings (e.g. `tile_z == 0`) are rejected by [`SolverBuilder::try_build`].
+//! collision, storage scheme, thread pool, temporal-blocking depth and
+//! observability recorder. The historical `Solver::new` + `with_*` chain and
+//! the `ExecMode` selector were removed after every in-tree caller migrated;
+//! contradictory settings (e.g. `time_block == 0`) are rejected by
+//! [`SolverBuilder::try_build`].
 //!
 //! The scheme-agnostic state surface is [`Solver::state`]/[`Solver::state_mut`]
 //! (the raw current grid, whose slot interpretation depends on the scheme and
@@ -64,7 +65,7 @@ pub struct StepStats {
 ///
 /// let solver = Solver::<D2Q9>::builder(GridDims::new2d(16, 16), BgkParams::from_tau(0.8))
 ///     .pool(ThreadPool::new(4))
-///     .tile_z(70)
+///     .time_block(2)
 ///     .build();
 /// assert_eq!(solver.step_count(), 0);
 /// ```
@@ -74,7 +75,6 @@ pub struct SolverBuilder<L: Lattice> {
     collision: CollisionKind,
     storage: StorageScheme,
     pool: Option<ThreadPool>,
-    tile_z: Option<usize>,
     time_block: usize,
     recorder: Recorder,
     _lattice: PhantomData<L>,
@@ -88,7 +88,6 @@ impl<L: Lattice> SolverBuilder<L> {
             collision: CollisionKind::Bgk(params),
             storage: StorageScheme::default(),
             pool: None,
-            tile_z: None,
             time_block: 1,
             recorder: Recorder::disabled(),
             _lattice: PhantomData,
@@ -120,13 +119,6 @@ impl<L: Lattice> SolverBuilder<L> {
         self
     }
 
-    /// z-tile extent for the optimized interior kernel (must be ≥ 1; default
-    /// [`crate::parallel::DEFAULT_TILE_Z`], the paper's 64×3×**70** blocking).
-    pub fn tile_z(mut self, tile_z: usize) -> Self {
-        self.tile_z = Some(tile_z);
-        self
-    }
-
     /// Attach an observability recorder (default: disabled — the instrumented
     /// step path then costs nothing).
     pub fn recorder(mut self, recorder: Recorder) -> Self {
@@ -146,14 +138,9 @@ impl<L: Lattice> SolverBuilder<L> {
 
     /// Build the solver, rejecting contradictory settings.
     ///
-    /// Errors: `tile_z == 0` (use the default or a positive tile instead),
-    /// `time_block == 0`, and an odd `time_block > 1` under AA storage.
+    /// Errors: `time_block == 0`, and an odd `time_block > 1` under AA
+    /// storage.
     pub fn try_build(self) -> Result<Solver<L>, SwlbError> {
-        if self.tile_z == Some(0) {
-            return Err(SwlbError::InvalidConfig(
-                "tile_z must be >= 1 (omit it for the default blocking)".into(),
-            ));
-        }
         if self.time_block == 0 {
             return Err(SwlbError::InvalidConfig(
                 "time_block must be >= 1 (1 disables temporal blocking)".into(),
@@ -166,10 +153,7 @@ impl<L: Lattice> SolverBuilder<L> {
                 self.time_block
             )));
         }
-        let mut pool = self.pool.unwrap_or_else(|| ThreadPool::new(1));
-        if let Some(t) = self.tile_z {
-            pool = pool.with_tile_z(t);
-        }
+        let pool = self.pool.unwrap_or_else(|| ThreadPool::new(1));
         let obs_mlups = self.recorder.gauge("mlups");
         let obs_steps = self.recorder.counter("steps");
         let obs_kernel_class = self.recorder.gauge("kernel_class");
@@ -183,7 +167,7 @@ impl<L: Lattice> SolverBuilder<L> {
             step: 0,
             time_block: self.time_block,
             interior: None,
-            mask_dirty: true,
+            interior_dirty: true,
             active: 0,
             last_class: KernelClass::Generic,
             recorder: self.recorder,
@@ -218,10 +202,10 @@ pub struct Solver<L: Lattice> {
     /// Temporal-blocking depth: [`Solver::run`] advances this many steps per
     /// wavefront sweep (1 = plain per-step execution).
     time_block: usize,
-    /// Interior fast-path index (mask + run-length runs), rebuilt lazily when
+    /// Interior fast-path index (run-length interior runs), rebuilt lazily when
     /// the flags change.
     interior: Option<InteriorIndex>,
-    mask_dirty: bool,
+    interior_dirty: bool,
     /// Fluid-cell count, cached alongside the index (MLUPS accounting).
     active: usize,
     /// Which kernel class served the most recent step.
@@ -283,9 +267,9 @@ impl<L: Lattice> Solver<L> {
     }
 
     /// Mutable flag field (pre-processing). Invalidates the interior fast-path
-    /// mask, which is rebuilt lazily on the next step.
+    /// index, which is rebuilt lazily on the next step.
     pub fn flags_mut(&mut self) -> &mut FlagField {
-        self.mask_dirty = true;
+        self.interior_dirty = true;
         &mut self.flags
     }
 
@@ -410,7 +394,7 @@ impl<L: Lattice> Solver<L> {
     }
 
     fn ensure_interior(&mut self) -> Result<(), SwlbError> {
-        if self.mask_dirty {
+        if self.interior_dirty {
             if self.storage.scheme() == StorageScheme::Aa {
                 let c = self.flags.census();
                 if c.inlet != 0 || c.outlet != 0 {
@@ -424,7 +408,7 @@ impl<L: Lattice> Solver<L> {
             }
             self.interior = Some(InteriorIndex::build::<L>(&self.flags));
             self.active = kernels::active_cells(&self.flags);
-            self.mask_dirty = false;
+            self.interior_dirty = false;
         }
         Ok(())
     }
@@ -666,12 +650,9 @@ mod tests {
 
     #[test]
     fn unified_dispatch_agrees_across_pool_configs() {
-        // The unified pipeline must agree across thread counts and tile sizes
-        // (formerly Serial vs Parallel vs Optimized modes): bit-exact across
-        // thread counts (slabs never split a z-pencil), and across tile sizes
-        // on the scalar-semantics paths; under the AVX2+FMA lane a tile-size
-        // change reshuffles the vector/scalar chunk split, so those
-        // comparisons carry the documented 1e-12-per-step tolerance.
+        // The unified pipeline must agree across thread counts (formerly
+        // Serial vs Parallel vs Optimized modes): bit-exact across thread
+        // counts, because slabs never split a z-pencil.
         let dims = GridDims::new(8, 8, 8);
         let tau = 0.7;
         let make = |pool: Option<ThreadPool>| {
@@ -688,7 +669,7 @@ mod tests {
         };
         let a = make(None);
         let b = make(Some(ThreadPool::new(4)));
-        let c = make(Some(ThreadPool::new(3).with_tile_z(2)));
+        let c = make(Some(ThreadPool::new(3)));
         let tol = crate::simd::dispatch_tolerance() * 100.0;
         for cell in 0..dims.cells() {
             for q in 0..19 {
@@ -701,7 +682,7 @@ mod tests {
                 let vc = c.state().get(cell, q);
                 assert!(
                     (va - vc).abs() <= tol,
-                    "tiled mismatch at cell {cell} q {q}: {va} vs {vc}"
+                    "3-thread mismatch at cell {cell} q {q}: {va} vs {vc}"
                 );
             }
         }
@@ -738,23 +719,6 @@ mod tests {
             snap.gauge("kernel_class"),
             Some(s.last_kernel_class().as_gauge())
         );
-    }
-
-    #[test]
-    fn builder_rejects_contradictory_settings() {
-        let dims = GridDims::new2d(8, 8);
-        let err = Solver::<D2Q9>::builder(dims, BgkParams::from_tau(0.8))
-            .tile_z(0)
-            .try_build()
-            .unwrap_err();
-        assert!(matches!(err, SwlbError::InvalidConfig(_)), "{err}");
-
-        // A positive tile with any pool is fine.
-        assert!(Solver::<D2Q9>::builder(dims, BgkParams::from_tau(0.8))
-            .tile_z(2)
-            .pool(ThreadPool::new(2))
-            .try_build()
-            .is_ok());
     }
 
     #[test]
@@ -948,15 +912,10 @@ mod tests {
         };
         let serial = make(ThreadPool::new(1));
         let pooled = make(ThreadPool::new(3));
-        let tiled = make(ThreadPool::new(3).with_tile_z(1));
-        // serial vs pooled share the default tile ⇒ bit-exact on every path;
-        // the tiled run differs under the AVX2 lane's chunk reshuffle only.
-        let tol = crate::simd::dispatch_tolerance() * 100.0;
+        // Thread count never changes the lane split ⇒ bit-exact on every path.
         for c in 0..dims.cells() {
             for q in 0..19 {
                 assert_eq!(serial.get(c, q), pooled.get(c, q), "pooled c{c} q{q}");
-                let (s, t) = (serial.get(c, q), tiled.get(c, q));
-                assert!((s - t).abs() <= tol, "tiled c{c} q{q}: {s} vs {t}");
             }
         }
     }

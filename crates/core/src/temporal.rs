@@ -47,8 +47,9 @@
 //! ## Bit-exactness
 //!
 //! The sweep skews along **y only**: every `(level, slab)` dispatch covers the
-//! full x- and z-extent, so z-pencils, tile-z chunking and per-cell kernel
-//! eligibility are identical to the unblocked dispatch. The blocked schedule
+//! full x- and z-extent, so every z-pencil is walked whole, and the lane/tail
+//! split of its runs and per-cell kernel eligibility are identical to the
+//! unblocked dispatch. The blocked schedule
 //! is a pure reordering of the same per-cell updates and therefore
 //! **bit-identical** to `k` plain steps on every lane, vectorized ones
 //! included.

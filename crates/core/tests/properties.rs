@@ -12,11 +12,12 @@ use swlb_core::collision::{
 use swlb_core::equilibrium::{equilibrium, moments};
 use swlb_core::flags::FlagField;
 use swlb_core::geometry::GridDims;
-use swlb_core::kernels::{fused_step, fused_step_optimized, InteriorIndex};
+use swlb_core::kernels::{aa_step_rect, fused_step, fused_step_optimized, InteriorIndex};
 use swlb_core::lattice::{Lattice, D2Q9, D3Q19};
-use swlb_core::layout::{AosField, PopField, SoaField, StorageScheme};
+use swlb_core::layout::{AaParity, AosField, PopField, SoaField, StorageScheme};
 use swlb_core::parallel::ThreadPool;
 use swlb_core::prelude::NodeKind;
+use swlb_core::simd::KernelClass;
 use swlb_core::solver::Solver;
 use swlb_core::stream::{collide_step, propagate_step, split_step};
 use swlb_core::Scalar;
@@ -40,6 +41,27 @@ fn field_from<L: Lattice, F: PopField<L>>(dims: GridDims, vals: &[Scalar]) -> F 
         }
     }
     f
+}
+
+/// Depth of the deep random-geometry grid: with obstacles only in its mid
+/// z-plane, a split pencil keeps interior runs of 10 and 11 cells, so every
+/// lane width (up to 8) fills at least once on both sides of the gap.
+const DEEP_NZ: usize = 26;
+
+/// A sealed 6×6×`nz` box with interior wall cells where `bits` says so. On
+/// the deep grid only the mid z-plane takes obstacles (see [`DEEP_NZ`]).
+fn random_obstacles(nz: usize, bits: &[bool]) -> FlagField {
+    let dims = GridDims::new(6, 6, nz);
+    let mut flags = FlagField::new(dims);
+    flags.set_box_walls();
+    for c in 0..dims.cells() {
+        let [x, y, z] = dims.coords(c);
+        let plane_ok = nz < DEEP_NZ || z == nz / 2;
+        if !dims.on_boundary(x, y, z) && plane_ok && bits[c % bits.len()] {
+            flags.set(x, y, z, NodeKind::Wall);
+        }
+    }
+    flags
 }
 
 proptest! {
@@ -197,18 +219,11 @@ proptest! {
         vals in prop::collection::vec(0.0f64..1.0, 64),
         obstacle_bits in prop::collection::vec(prop::bool::weighted(0.15), 125),
         tau in 0.55f64..1.6,
-        tile_z in 0usize..5,
         threads in 1usize..5,
+        nz in prop::sample::select(vec![6usize, DEEP_NZ]),
     ) {
-        let dims = GridDims::new(6, 6, 6);
-        let mut flags = FlagField::new(dims);
-        flags.set_box_walls();
-        for c in 0..dims.cells() {
-            let [x, y, z] = dims.coords(c);
-            if !dims.on_boundary(x, y, z) && obstacle_bits[c % obstacle_bits.len()] {
-                flags.set(x, y, z, NodeKind::Wall);
-            }
-        }
+        let flags = random_obstacles(nz, &obstacle_bits);
+        let dims = flags.dims();
         let src: SoaField<D3Q19> = field_from(dims, &vals);
         let coll = CollisionKind::Bgk(BgkParams::from_tau(tau));
         let interior = InteriorIndex::build::<D3Q19>(&flags);
@@ -218,11 +233,11 @@ proptest! {
 
         // The collision kind is threaded through (no ω→τ→ω round-trip), so
         // serial optimized dispatch is bit-exact against the reference on
-        // scalar-semantics lanes; under auto-selected AVX2 the fused
+        // scalar-semantics lanes; under an auto-selected FMA lane the fused
         // multiply-adds differ from the reference by rounding only.
         let tol = swlb_core::simd::dispatch_tolerance();
         let mut optimized = SoaField::<D3Q19>::new(dims);
-        fused_step_optimized(&flags, &src, &mut optimized, &coll, &interior, 0..dims.ny, tile_z);
+        fused_step_optimized(&flags, &src, &mut optimized, &coll, &interior, 0..dims.ny);
         for c in 0..dims.cells() {
             for q in 0..D3Q19::Q {
                 let (r, o) = (reference.get(c, q), optimized.get(c, q));
@@ -230,15 +245,46 @@ proptest! {
             }
         }
 
-        // ...and so does the pooled + z-blocked dispatch, for any thread count.
+        // ...and so does the pooled dispatch, for any thread count.
         let mut pooled = SoaField::<D3Q19>::new(dims);
-        ThreadPool::new(threads)
-            .with_tile_z(tile_z)
-            .fused_step(&flags, &src, &mut pooled, &coll, Some(&interior));
+        ThreadPool::new(threads).fused_step(&flags, &src, &mut pooled, &coll, Some(&interior));
         for c in 0..dims.cells() {
             for q in 0..D3Q19::Q {
                 let (r, p) = (reference.get(c, q), pooled.get(c, q));
                 prop_assert!((r - p).abs() <= tol, "cell {} q {}: {} vs {}", c, q, r, p);
+            }
+        }
+    }
+
+    #[test]
+    fn aa_optimized_equals_generic_on_random_geometry(
+        vals in prop::collection::vec(0.0f64..1.0, 64),
+        obstacle_bits in prop::collection::vec(prop::bool::weighted(0.15), 125),
+        tau in 0.55f64..1.6,
+        threads in 1usize..5,
+        nz in prop::sample::select(vec![6usize, DEEP_NZ]),
+    ) {
+        // The AA twin of the property above: the pooled sweep (interior runs
+        // through the lane kernel, gaps through the generic AA cell update)
+        // must reproduce the generic AA half-step at both parities.
+        let flags = random_obstacles(nz, &obstacle_bits);
+        let dims = flags.dims();
+        let coll = CollisionKind::Bgk(BgkParams::from_tau(tau));
+        let interior = InteriorIndex::build::<D3Q19>(&flags);
+        let tol = swlb_core::simd::dispatch_tolerance();
+        for parity in [AaParity::Reversed, AaParity::Streamed] {
+            let mut reference: SoaField<D3Q19> = field_from(dims, &vals);
+            let mut pooled = reference.clone();
+            aa_step_rect::<D3Q19>(&flags, &mut reference, &coll, parity, 0..dims.nx, 0..dims.ny);
+            let class = ThreadPool::new(threads).aa_fused_step(
+                &flags, &mut pooled, &coll, parity, Some(&interior),
+            );
+            prop_assert_ne!(class, KernelClass::Generic);
+            for (i, (r, p)) in reference.raw().iter().zip(pooled.raw()).enumerate() {
+                prop_assert!(
+                    (r - p).abs() <= tol,
+                    "{:?} slot {}: {} vs {}", parity, i, r, p
+                );
             }
         }
     }
@@ -251,7 +297,7 @@ proptest! {
         // Periodic box, no walls: one fused step is a permutation (streaming)
         // composed with a per-cell conservative collision, so total mass and
         // momentum are invariant. The interior cells take whatever lane path
-        // the host auto-selects (AVX2, portable, or mask-scalar under
+        // the host auto-selects (AVX-512, AVX2, or portable under
         // SWLB_NO_SIMD=1), so this pins conservation on the vector kernel.
         let dims = GridDims::new(7, 6, 9);
         let flags = FlagField::new(dims);
@@ -259,7 +305,7 @@ proptest! {
         let coll = CollisionKind::Bgk(BgkParams::from_tau(tau));
         let interior = InteriorIndex::build::<D3Q19>(&flags);
         let mut dst = SoaField::<D3Q19>::new(dims);
-        fused_step_optimized(&flags, &src, &mut dst, &coll, &interior, 0..dims.ny, 0);
+        fused_step_optimized(&flags, &src, &mut dst, &coll, &interior, 0..dims.ny);
         let sums = |f: &SoaField<D3Q19>| {
             let mut m = 0.0;
             let mut j = [0.0; 3];

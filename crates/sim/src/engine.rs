@@ -199,11 +199,11 @@ pub struct DistributedSolver<'c, L: Lattice, C: Communicator = Comm> {
     /// block (exchanges halos). Reset by initialize/restore so a resumed run
     /// never reads stale ghosts.
     phase: usize,
-    /// Execution pipeline for the inner rectangle: the same pooled + z-blocked
+    /// Execution pipeline for the inner rectangle: the same pooled sweep
     /// dispatch the shared-memory [`Solver`](swlb_core::solver::Solver) uses.
     pool: ThreadPool,
-    /// Interior fast-path index of the local grid (per-cell mask + run-length
-    /// runs, halo ring excluded), enabling the vectorized / hand-optimized
+    /// Interior fast-path index of the local grid (run-length interior runs,
+    /// halo ring excluded), enabling the vectorized / hand-optimized
     /// D3Q19 kernels inside the pooled dispatch. Rebuilt lazily when the local
     /// flags change (see [`DistributedSolver::local_flags_mut`]).
     interior: InteriorIndex,
@@ -307,7 +307,7 @@ impl<'c, 'f, L: Lattice, C: Communicator> DistributedSolverBuilder<'c, 'f, L, C>
     /// Run this rank's inner rectangle on the given thread pool (default: a
     /// single-threaded pool). This is the second level of the paper's two-level
     /// parallelism: ranks partition the domain, the pool's threads partition
-    /// each rank's inner rectangle into y-slabs with z-tile blocking.
+    /// each rank's inner rectangle into y-slabs, one streaming sweep each.
     pub fn pool(mut self, pool: ThreadPool) -> Self {
         self.pool = Some(pool);
         self
@@ -804,9 +804,8 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
 
     /// Fused stream+collide over the inner rectangle `2..lnx × 2..lny` (the
     /// cells that touch no halo), dispatched through the thread pool: y-slabs
-    /// across threads, z-tile blocking inside each slab, and the vectorized
-    /// (or hand-optimized scalar) D3Q19 kernel on interior BGK run-length
-    /// runs. Matches the serial generic path bit-for-bit on scalar-semantics
+    /// across threads, each one streaming sweep with the D3Q19 lane kernel on
+    /// interior BGK run-length runs and the generic update on the gaps. Matches the serial generic path bit-for-bit on scalar-semantics
     /// lanes and within the FMA dispatch tolerance under AVX2.
     fn step_inner(&mut self) {
         if self.lnx <= 2 || self.lny <= 2 {

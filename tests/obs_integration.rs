@@ -109,7 +109,7 @@ fn distributed_steady_state_step_makes_no_allocations() {
     let out = World::new(2).run(|comm| {
         let mut s = DistributedSolver::<D3Q19>::builder(&comm, global, flags_ref, coll)
             .exchange(ExchangeMode::OnTheFly)
-            .pool(ThreadPool::new(2).with_tile_z(2))
+            .pool(ThreadPool::new(2))
             .build();
         assert!(!s.recorder().is_enabled());
         s.initialize_uniform(1.0, [0.0; 3]);

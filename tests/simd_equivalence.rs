@@ -1,15 +1,15 @@
 //! SIMD vs scalar vs generic kernel equivalence — the correctness contract of
 //! the vectorized D3Q19 dispatch (paper Fig. 8's vectorization rung).
 //!
-//! Three kernel classes serve interior BGK cells: the generic per-cell
-//! reference, the hand-optimized mask-scalar kernel, and the lane kernel
-//! (portable `[f64; 4]` or AVX2+FMA). The contract:
+//! Interior BGK cells are served by the generic per-cell reference or by the
+//! one streaming sweep's lane kernel (one-wide scalar, portable `[f64; 4]` /
+//! `[f64; 8]`, AVX2+FMA or AVX-512). The contract:
 //!
-//! * portable lane ↔ scalar ↔ generic: **bit-exact** (the portable lane uses
-//!   unfused multiply-add, so its expression tree rounds identically), for
-//!   every tile size, obstacle layout, and rank topology;
-//! * AVX2+FMA lane ↔ scalar: within `1e-12` per step (fused multiply-adds
-//!   round once where the scalar kernel rounds twice).
+//! * portable lanes ↔ scalar lane ↔ generic: **bit-exact** (these lanes use
+//!   unfused multiply-add, so their expression tree rounds identically), for
+//!   every obstacle layout and rank topology;
+//! * FMA lanes ↔ scalar: within `1e-12` per step (fused multiply-adds round
+//!   once where the scalar kernel rounds twice).
 //!
 //! The lane policy is a process-global knob, so every test that touches it
 //! serializes on a mutex and restores `Auto` before releasing it.
@@ -73,11 +73,10 @@ fn optimized_step(
     src: &SoaField<D3Q19>,
     coll: &CollisionKind,
     interior: &InteriorIndex,
-    tile_z: usize,
 ) -> (SoaField<D3Q19>, KernelClass) {
     let dims = src.dims();
     let mut dst = SoaField::<D3Q19>::new(dims);
-    let class = fused_step_optimized(flags, src, &mut dst, coll, interior, 0..dims.ny, tile_z);
+    let class = fused_step_optimized(flags, src, &mut dst, coll, interior, 0..dims.ny);
     (dst, class)
 }
 
@@ -93,8 +92,7 @@ fn assert_fields_close(a: &SoaField<D3Q19>, b: &SoaField<D3Q19>, tol: f64, what:
     }
 }
 
-/// Portable lane, mask-scalar kernel, and generic reference agree bit-for-bit
-/// for every tile size exercised elsewhere in the suite.
+/// Portable lane, scalar lane, and generic reference agree bit-for-bit.
 #[test]
 fn portable_lane_is_bit_exact_against_scalar_and_generic() {
     let dims = GridDims::new(10, 8, 14);
@@ -105,23 +103,16 @@ fn portable_lane_is_bit_exact_against_scalar_and_generic() {
     let interior = InteriorIndex::build::<D3Q19>(&flags);
     let reference = serial_step(&flags, &src, &coll);
 
-    for tile_z in [0usize, 1, 2, 70] {
-        let (scalar, sc) = with_policy(LanePolicy::ForceScalar, || {
-            optimized_step(&flags, &src, &coll, &interior, tile_z)
-        });
-        let (portable, pc) = with_policy(LanePolicy::ForcePortable, || {
-            optimized_step(&flags, &src, &coll, &interior, tile_z)
-        });
-        assert_eq!(sc, KernelClass::Scalar);
-        assert_eq!(pc, KernelClass::Scalar);
-        assert_fields_close(&reference, &scalar, 0.0, &format!("scalar tile_z={tile_z}"));
-        assert_fields_close(
-            &reference,
-            &portable,
-            0.0,
-            &format!("portable tile_z={tile_z}"),
-        );
-    }
+    let (scalar, sc) = with_policy(LanePolicy::ForceScalar, || {
+        optimized_step(&flags, &src, &coll, &interior)
+    });
+    let (portable, pc) = with_policy(LanePolicy::ForcePortable, || {
+        optimized_step(&flags, &src, &coll, &interior)
+    });
+    assert_eq!(sc, KernelClass::Scalar);
+    assert_eq!(pc, KernelClass::Scalar);
+    assert_fields_close(&reference, &scalar, 0.0, "scalar");
+    assert_fields_close(&reference, &portable, 0.0, "portable");
 }
 
 /// The auto-selected native lane stays within the dispatch tolerance of the
@@ -138,7 +129,7 @@ fn native_lane_stays_within_dispatch_tolerance() {
     let reference = serial_step(&flags, &src, &coll);
 
     let (native, class) = with_policy(LanePolicy::Auto, || {
-        optimized_step(&flags, &src, &coll, &interior, 0)
+        optimized_step(&flags, &src, &coll, &interior)
     });
     let tol = match class {
         KernelClass::Simd => 1e-12,
@@ -162,7 +153,7 @@ fn no_simd_env_never_selects_simd_class() {
 }
 
 /// AA-pattern storage must agree with AB under every pinned lane policy —
-/// the portable lanes (4- and 8-wide), the mask-scalar kernel, the AVX2+FMA
+/// the portable lanes (4- and 8-wide), the one-wide scalar lane, the AVX2+FMA
 /// lane, and the 8-wide AVX-512F lane where the host detects `avx512f`
 /// (`ForceAvx512` falls back to the bit-identical portable 8-wide lane
 /// elsewhere, so the matrix is runnable on any host). Odd step counts end at
@@ -250,7 +241,7 @@ fn distributed_portable_lane_matches_reference_exactly() {
                 let out = World::new(ranks).run(|comm| {
                     let mut s = DistributedSolver::<D3Q19>::builder(&comm, global, flags_ref, coll)
                         .exchange(mode)
-                        .pool(ThreadPool::new(2).with_tile_z(3))
+                        .pool(ThreadPool::new(2))
                         .build();
                     s.initialize_with(init_state);
                     s.run(steps).unwrap();

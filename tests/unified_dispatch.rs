@@ -1,14 +1,14 @@
 //! Cross-layer equivalence of the unified execution pipeline.
 //!
 //! Every dispatch level must reproduce the serial generic reference: the
-//! pooled + z-blocked shared-memory dispatch and the distributed solver's
+//! pooled shared-memory sweep and the distributed solver's
 //! inner-rectangle/boundary-ring split under both exchange schedules — for
-//! every combination of thread count, tile size, and rank count, including
-//! degenerate subdomains whose inner rectangle is empty. Parallelism and
+//! every combination of thread count and rank count, including degenerate
+//! subdomains whose inner rectangle is empty. Parallelism and temporal
 //! blocking only re-schedule independent per-cell updates, so paths with
 //! scalar semantics (generic fallback, `SWLB_NO_SIMD=1`, the portable lane)
-//! are compared with `assert_eq!`; when the host auto-selects the AVX2+FMA
-//! lane its fused multiply-adds legitimately differ from the scalar reference
+//! are compared with `assert_eq!`; when the host auto-selects an FMA lane
+//! (AVX2 or AVX-512) its fused multiply-adds legitimately differ from the scalar reference
 //! by rounding, and those comparisons use
 //! `swlb_core::simd::dispatch_tolerance()` instead.
 
@@ -53,12 +53,11 @@ fn distributed_run<L: Lattice>(
     ranks: usize,
     mode: ExchangeMode,
     pool_threads: usize,
-    tile_z: usize,
 ) -> SoaField<L> {
     let out = World::new(ranks).run(|comm| {
         let mut s = DistributedSolver::<L>::builder(&comm, global, flags, coll)
             .exchange(mode)
-            .pool(ThreadPool::new(pool_threads).with_tile_z(tile_z))
+            .pool(ThreadPool::new(pool_threads))
             .build();
         s.initialize_with(init_state);
         s.run(steps).unwrap();
@@ -79,12 +78,11 @@ fn distributed_run_aa<L: Lattice>(
     ranks: usize,
     mode: ExchangeMode,
     pool_threads: usize,
-    tile_z: usize,
 ) -> SoaField<L> {
     let out = World::new(ranks).run(|comm| {
         let mut s = DistributedSolver::<L>::builder(&comm, global, flags, coll)
             .exchange(mode)
-            .pool(ThreadPool::new(pool_threads).with_tile_z(tile_z))
+            .pool(ThreadPool::new(pool_threads))
             .storage(StorageScheme::Aa)
             .build();
         s.initialize_with(init_state);
@@ -105,14 +103,13 @@ fn distributed_run_k<L: Lattice>(
     ranks: usize,
     mode: ExchangeMode,
     pool_threads: usize,
-    tile_z: usize,
     scheme: StorageScheme,
     time_block: usize,
 ) -> SoaField<L> {
     let out = World::new(ranks).run(|comm| {
         let mut s = DistributedSolver::<L>::builder(&comm, global, flags, coll)
             .exchange(mode)
-            .pool(ThreadPool::new(pool_threads).with_tile_z(tile_z))
+            .pool(ThreadPool::new(pool_threads))
             .storage(scheme)
             .time_block(time_block)
             .build();
@@ -163,7 +160,7 @@ fn assert_fields_close<L: Lattice>(a: &SoaField<L>, b: &SoaField<L>, tol: f64, w
     }
 }
 
-/// The full matrix: (exchange mode × threads × tile_z × rank count) against
+/// The full matrix: (exchange mode × threads × rank count) against
 /// the serial generic reference. The z extent is deep enough (nz = 12) that
 /// interior z-runs reach full lane width, so on AVX2 hosts this matrix runs
 /// the vectorized kernel, not just its scalar tail.
@@ -181,15 +178,14 @@ fn distributed_unified_dispatch_matches_serial_reference() {
 
     for mode in [ExchangeMode::Sequential, ExchangeMode::OnTheFly] {
         for ranks in [1usize, 4] {
-            for (threads, tile_z) in [(1, 0), (2, 2), (4, 70)] {
-                let got = distributed_run::<D3Q19>(
-                    global, &flags, coll, steps, ranks, mode, threads, tile_z,
-                );
+            for threads in [1, 2, 4] {
+                let got =
+                    distributed_run::<D3Q19>(global, &flags, coll, steps, ranks, mode, threads);
                 assert_fields_close(
                     &reference,
                     &got,
                     tol,
-                    &format!("{mode:?} ranks={ranks} threads={threads} tile_z={tile_z}"),
+                    &format!("{mode:?} ranks={ranks} threads={threads}"),
                 );
             }
         }
@@ -219,7 +215,6 @@ fn degenerate_subdomains_stay_bit_identical() {
             ranks,
             ExchangeMode::Sequential,
             2,
-            0,
         );
         let otf = distributed_run::<D3Q19>(
             global,
@@ -229,14 +224,13 @@ fn degenerate_subdomains_stay_bit_identical() {
             ranks,
             ExchangeMode::OnTheFly,
             2,
-            0,
         );
         assert_fields_equal(&reference, &seq, &format!("Sequential ranks={ranks}"));
         assert_fields_equal(&reference, &otf, &format!("OnTheFly ranks={ranks}"));
     }
 }
 
-/// The AA-pattern storage matrix: (exchange mode × ranks × threads/tile_z ×
+/// The AA-pattern storage matrix: (exchange mode × ranks × threads ×
 /// odd/even step counts) against the serial AB reference. An odd step count
 /// ends at Streamed parity, so the gather exercises canonicalization of the
 /// "hard" half of the AA cycle; even counts end Reversed. Compared on fluid
@@ -256,18 +250,16 @@ fn aa_storage_matrix_matches_serial_reference() {
         let reference = reference_run::<D3Q19>(global, &flags, &coll, steps);
         for mode in [ExchangeMode::Sequential, ExchangeMode::OnTheFly] {
             for ranks in [1usize, 4] {
-                for (threads, tile_z) in [(1, 0), (2, 2), (4, 70)] {
+                for threads in [1, 2, 4] {
                     let got = distributed_run_aa::<D3Q19>(
-                        global, &flags, coll, steps, ranks, mode, threads, tile_z,
+                        global, &flags, coll, steps, ranks, mode, threads,
                     );
                     assert_fluid_cells_close(
                         &flags,
                         &reference,
                         &got,
                         tol,
-                        &format!(
-                            "AA {mode:?} steps={steps} ranks={ranks} threads={threads} tile_z={tile_z}"
-                        ),
+                        &format!("AA {mode:?} steps={steps} ranks={ranks} threads={threads}"),
                     );
                 }
             }
@@ -290,8 +282,7 @@ fn aa_degenerate_subdomains_match_reference() {
         let reference = reference_run::<D3Q19>(global, &flags, &coll, steps);
         for ranks in [2usize, 6] {
             for mode in [ExchangeMode::Sequential, ExchangeMode::OnTheFly] {
-                let got =
-                    distributed_run_aa::<D3Q19>(global, &flags, coll, steps, ranks, mode, 2, 0);
+                let got = distributed_run_aa::<D3Q19>(global, &flags, coll, steps, ranks, mode, 2);
                 assert_fluid_cells_close(
                     &flags,
                     &reference,
@@ -307,8 +298,8 @@ fn aa_degenerate_subdomains_match_reference() {
 /// Temporal-blocking equivalence matrix: depth k ∈ {2, 4} against the same
 /// configuration at k = 1, for both storage schemes (AA depths are even by
 /// construction), both exchange schedules, rank counts including degenerate
-/// subdomains (`lny ≤ 2`, where deep halos force multi-round exchange), and
-/// two z-tile sizes. A blocked sweep performs the identical per-cell updates
+/// subdomains (`lny ≤ 2`, where deep halos force multi-round exchange). A
+/// blocked sweep performs the identical per-cell updates
 /// in a different order, so this is exact on scalar-semantics lanes; the
 /// dispatch tolerance absorbs fast/generic path differences at the
 /// redundantly recomputed ghost fringe (same rationale as the engine's
@@ -330,25 +321,21 @@ fn temporal_blocking_matrix_matches_unblocked() {
             flags.paint_lid([0.05, 0.0, 0.0]);
             flags.set(6, 5, 6, swlb_core::boundary::NodeKind::Wall);
         }
-        let tile_zs: &[usize] = if lid { &[0, 5] } else { &[0] };
         for scheme in [StorageScheme::Ab, StorageScheme::Aa] {
             for mode in [ExchangeMode::Sequential, ExchangeMode::OnTheFly] {
                 for ranks in [1usize, 2, 4] {
-                    for &tile_z in tile_zs {
-                        let base = distributed_run_k::<D3Q19>(
-                            global, &flags, coll, steps, ranks, mode, 2, tile_z, scheme, 1,
+                    let base = distributed_run_k::<D3Q19>(
+                        global, &flags, coll, steps, ranks, mode, 2, scheme, 1,
+                    );
+                    for k in [2usize, 4] {
+                        let got = distributed_run_k::<D3Q19>(
+                            global, &flags, coll, steps, ranks, mode, 2, scheme, k,
                         );
-                        for k in [2usize, 4] {
-                            let got = distributed_run_k::<D3Q19>(
-                                global, &flags, coll, steps, ranks, mode, 2, tile_z, scheme, k,
-                            );
-                            let what =
-                                format!("{scheme:?} {mode:?} ranks={ranks} tile_z={tile_z} k={k}");
-                            match scheme {
-                                StorageScheme::Ab => assert_fields_close(&base, &got, tol, &what),
-                                StorageScheme::Aa => {
-                                    assert_fluid_cells_close(&flags, &base, &got, tol, &what)
-                                }
+                        let what = format!("{scheme:?} {mode:?} ranks={ranks} k={k}");
+                        match scheme {
+                            StorageScheme::Ab => assert_fields_close(&base, &got, tol, &what),
+                            StorageScheme::Aa => {
+                                assert_fluid_cells_close(&flags, &base, &got, tol, &what)
                             }
                         }
                     }
@@ -376,7 +363,6 @@ fn d2q9_distributed_pooled_matches_reference() {
             ranks,
             ExchangeMode::OnTheFly,
             3,
-            0,
         );
         assert_fields_equal(&reference, &got, &format!("D2Q9 ranks={ranks}"));
     }
@@ -394,15 +380,6 @@ fn smagorinsky_distributed_pooled_matches_reference() {
     );
     let steps = 3;
     let reference = reference_run::<D3Q19>(global, &flags, &coll, steps);
-    let got = distributed_run::<D3Q19>(
-        global,
-        &flags,
-        coll,
-        steps,
-        4,
-        ExchangeMode::OnTheFly,
-        4,
-        16,
-    );
+    let got = distributed_run::<D3Q19>(global, &flags, coll, steps, 4, ExchangeMode::OnTheFly, 4);
     assert_fields_equal(&reference, &got, "SmagorinskyLes 4 ranks pooled");
 }
