@@ -16,10 +16,19 @@
 //!   distributed engine in `swlb-sim`) are tested for exact agreement with it.
 //! * [`fused_step_optimized`] / [`aa_fused_step_optimized`] — one streaming
 //!   sweep per step for D3Q19/SoA/BGK: each z-pencil is walked once, its
-//!   interior runs ([`InteriorRuns`]) go through a hand-unrolled lane kernel
-//!   in [`crate::simd`] (the portable analog of the paper's assembly-level
+//!   runs ([`InteriorRuns`]) go through a hand-unrolled lane kernel in
+//!   [`crate::simd`] (the portable analog of the paper's assembly-level
 //!   stage: hoisted neighbor offsets, unrolled direction loop) and each gap
 //!   between runs goes through the generic per-cell update at that point.
+//!
+//! The runs are the paper's pre-processing classification (§IV-B): built
+//! once per flag generation, they cover every BGK `Fluid` cell off the grid
+//! edge, each run carrying a bounce-back descriptor ([`Bounce`]: which pull
+//! sources are walls, which of those move, and how fast), so the lane kernel
+//! reads bounced populations from the cell's own slots without looking at a
+//! flag. Only open-boundary and NEBB cells, cells whose pulls wrap the grid,
+//! cells next to two different wall velocities, solid cells and non-BGK
+//! operators take [`generic_cell`] / [`aa_generic_cell`].
 
 use crate::boundary::NodeKind;
 use crate::collision::{collide, CollisionKind};
@@ -29,6 +38,7 @@ use crate::lattice::{Lattice, D3Q19};
 use crate::layout::{AaParity, PopField, SoaField};
 use crate::simd::KernelClass;
 use crate::Scalar;
+use std::collections::HashMap;
 use std::ops::Range;
 
 /// Largest `Q` across the supported lattices; sizes the per-cell stack buffer.
@@ -241,89 +251,181 @@ pub fn fused_step<L: Lattice, F: PopField<L>>(
     fused_step_range::<L, F>(flags, src, dst, collision, 0..flags.dims().ny);
 }
 
-/// Precompute the interior-fast-path mask: `true` where the cell is fluid,
-/// geometrically interior, and all pull sources are fluid too (the cells the
-/// lane kernels of [`crate::simd`] may update; see [`InteriorRuns`]).
-pub fn interior_mask<L: Lattice>(flags: &FlagField) -> Vec<bool> {
-    let dims = flags.dims();
-    let mut mask = vec![false; dims.cells()];
-    if dims.nx < 3 || dims.ny < 3 || dims.nz < 3 {
-        return mask;
-    }
-    for y in 1..dims.ny - 1 {
-        for x in 1..dims.nx - 1 {
-            for z in 1..dims.nz - 1 {
-                let this = dims.idx(x, y, z);
-                if !flags.kind(this).is_fluid() {
-                    continue;
-                }
-                let mut ok = true;
-                for q in 1..L::Q {
-                    let c = L::C[q];
-                    let [a, b, d] = dims.neighbor_periodic(x, y, z, [-c[0], -c[1], -c[2]]);
-                    if !flags.kind(dims.idx(a, b, d)).is_fluid() {
-                        ok = false;
-                        break;
-                    }
-                }
-                mask[this] = ok;
-            }
-        }
-    }
-    mask
+/// Bounce-back descriptor shared by every cell of an interior run: which pull
+/// sources are solid, which of those move, and how fast. Descriptor 0 of every
+/// [`InteriorRuns`] table is [`Bounce::NONE`], the all-streaming neighborhood.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Bounce {
+    /// Bit `q` is set when the pull source `x − c_q` is `Wall` or `MovingWall`.
+    pub mask: u32,
+    /// The `MovingWall` subset of `mask`.
+    pub moving: u32,
+    /// Velocity of the moving walls (zero when `moving == 0`).
+    pub u: [Scalar; 3],
 }
 
-/// Run-length encoding of an interior mask: per z-pencil `p = y·nx + x`, the
-/// maximal spans `(z0, z1)` of consecutive mask-true cells, CSR-packed.
+impl Bounce {
+    /// No solid pull source: the plain interior update.
+    pub const NONE: Bounce = Bounce {
+        mask: 0,
+        moving: 0,
+        u: [0.0; 3],
+    };
+
+    /// The descriptor of the cell at linear index `this`, whose pull sources
+    /// `this + off[q]` are all in the grid; `None` when two of its moving
+    /// walls disagree on the velocity (one run cannot carry both).
+    fn of_cell(kinds: &[NodeKind], this: usize, off: &[isize]) -> Option<Self> {
+        let mut b = Bounce::NONE;
+        for (q, &o) in off.iter().enumerate().skip(1) {
+            match kinds[this.wrapping_add_signed(o)] {
+                NodeKind::Wall => b.mask |= 1 << q,
+                NodeKind::MovingWall { u } => {
+                    if b.moving != 0 && b.u != u {
+                        return None;
+                    }
+                    b.mask |= 1 << q;
+                    b.moving |= 1 << q;
+                    b.u = u;
+                }
+                _ => {}
+            }
+        }
+        Some(b)
+    }
+
+    /// Interning key: equal keys give bit-identical updates.
+    fn key(&self) -> (u32, u32, [u64; 3]) {
+        (self.mask, self.moving, self.u.map(Scalar::to_bits))
+    }
+}
+
+/// One interior run: cells `z0..z1` of a z-pencil, all updated with
+/// descriptor `desc` of the owning [`InteriorRuns`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
+    /// First cell (z) of the run.
+    pub z0: u32,
+    /// One past the last cell (z) of the run.
+    pub z1: u32,
+    /// Index of the run's [`Bounce`] descriptor.
+    pub desc: u32,
+}
+
+/// The lane-kernel runs of a flag field: per z-pencil `p = y·nx + x`, the
+/// maximal spans of consecutive cells that share one bounce-back descriptor,
+/// CSR-packed, plus the interned descriptor table.
 ///
-/// The SoA layout is z-innermost, so a span is a contiguous stretch of linear
-/// indices — exactly what the vectorized kernel in [`crate::simd`] needs to
-/// issue whole-lane loads with no per-cell mask test. Built once per flag
-/// generation (cached on `Solver` / `DistributedSolver`), not per step.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A run covers `Fluid` cells with `1 ≤ x, y, z ≤ n − 2`, so every pull
+/// source and every AA scatter target is a linear in-grid offset; the lane
+/// kernels in [`crate::simd`] load bounce directions from the cell's own
+/// slots instead of the solid neighbor's (the paper's once-only node
+/// classification, §IV-B). The SoA layout is z-innermost, so a span is a
+/// contiguous stretch of linear indices — whole-lane loads with no per-cell
+/// test. Built once per flag generation (cached on `Solver` /
+/// `DistributedSolver`), not per step.
+#[derive(Debug, Clone, PartialEq)]
 pub struct InteriorRuns {
+    /// The grid the runs were built for; the sweeps refuse any other, whose
+    /// linear offsets the runs do not certify.
+    dims: crate::geometry::GridDims,
     /// CSR row pointers: pencil `p` owns `spans[starts[p]..starts[p+1]]`.
     starts: Vec<u32>,
-    /// Half-open z spans of interior cells, in ascending z order per pencil.
-    spans: Vec<(u32, u32)>,
+    /// Runs in ascending z order per pencil.
+    spans: Vec<Span>,
+    /// Interned descriptors; `descriptors[0]` is [`Bounce::NONE`].
+    descriptors: Vec<Bounce>,
 }
 
 impl InteriorRuns {
-    /// Encode `mask` (one bool per cell of `dims`, z-innermost) into runs.
-    pub fn from_mask(dims: crate::geometry::GridDims, mask: &[bool]) -> Self {
-        debug_assert_eq!(mask.len(), dims.cells());
-        let pencils = dims.nx * dims.ny;
-        let mut starts = Vec::with_capacity(pencils + 1);
-        let mut spans = Vec::new();
+    /// One pass over `flags`: classify every coverable cell and cut a run
+    /// wherever the descriptor changes or a cell is left to the generic path
+    /// (non-fluid, on the grid edge, or next to two wall velocities).
+    fn build<L: Lattice>(flags: &FlagField) -> Self {
+        let dims = flags.dims();
+        let (nx, ny, nz) = (dims.nx, dims.ny, dims.nz);
+        let kinds = flags.as_slice();
+        let off: Vec<isize> = L::C
+            .iter()
+            .map(|c| -((c[1] as isize * nx as isize + c[0] as isize) * nz as isize + c[2] as isize))
+            .collect();
+        let mut starts = Vec::with_capacity(nx * ny + 1);
+        let mut spans: Vec<Span> = Vec::new();
+        let mut descriptors = vec![Bounce::NONE];
+        let mut ids = HashMap::from([(Bounce::NONE.key(), 0u32)]);
+        let edges = nx < 3 || ny < 3 || nz < 3;
         starts.push(0u32);
-        for p in 0..pencils {
-            let line = &mask[p * dims.nz..(p + 1) * dims.nz];
-            let mut z = 0;
-            while z < dims.nz {
-                if line[z] {
-                    let run_start = z;
-                    while z < dims.nz && line[z] {
-                        z += 1;
-                    }
-                    spans.push((run_start as u32, z as u32));
-                } else {
-                    z += 1;
+        for y in 0..ny {
+            for x in 0..nx {
+                if edges || x == 0 || y == 0 || x == nx - 1 || y == ny - 1 {
+                    starts.push(spans.len() as u32);
+                    continue;
                 }
+                let base = dims.idx(x, y, 0);
+                // The last cell's key and id: neighbors along z mostly agree,
+                // so most cells skip the table lookup.
+                let mut last = (Bounce::NONE.key(), 0u32);
+                let mut open = false;
+                for z in 1..nz - 1 {
+                    let this = base + z;
+                    let bounce = match kinds[this] {
+                        NodeKind::Fluid => Bounce::of_cell(kinds, this, &off),
+                        _ => None,
+                    };
+                    let Some(b) = bounce else {
+                        open = false;
+                        continue;
+                    };
+                    let key = b.key();
+                    if key != last.0 {
+                        let id = *ids.entry(key).or_insert_with(|| {
+                            descriptors.push(b);
+                            descriptors.len() as u32 - 1
+                        });
+                        last = (key, id);
+                    }
+                    let z = z as u32;
+                    match spans.last_mut() {
+                        Some(s) if open && s.desc == last.1 => s.z1 = z + 1,
+                        _ => spans.push(Span {
+                            z0: z,
+                            z1: z + 1,
+                            desc: last.1,
+                        }),
+                    }
+                    open = true;
+                }
+                starts.push(spans.len() as u32);
             }
-            starts.push(spans.len() as u32);
         }
-        InteriorRuns { starts, spans }
+        InteriorRuns {
+            dims,
+            starts,
+            spans,
+            descriptors,
+        }
     }
 
-    /// The interior spans of z-pencil `p = y·nx + x`.
+    /// The grid the runs were built for.
+    pub fn dims(&self) -> crate::geometry::GridDims {
+        self.dims
+    }
+
+    /// The runs of z-pencil `p = y·nx + x`.
     #[inline(always)]
-    pub fn pencil(&self, p: usize) -> &[(u32, u32)] {
+    pub fn pencil(&self, p: usize) -> &[Span] {
         &self.spans[self.starts[p] as usize..self.starts[p + 1] as usize]
+    }
+
+    /// The bounce-back descriptor with index `desc` (see [`Span::desc`]).
+    #[inline(always)]
+    pub fn descriptor(&self, desc: u32) -> &Bounce {
+        &self.descriptors[desc as usize]
     }
 
     /// Total number of cells covered by all runs.
     pub fn cell_count(&self) -> usize {
-        self.spans.iter().map(|&(a, b)| (b - a) as usize).sum()
+        self.spans.iter().map(|s| (s.z1 - s.z0) as usize).sum()
     }
 
     /// Total number of runs (diagnostics).
@@ -332,22 +434,23 @@ impl InteriorRuns {
     }
 }
 
-/// The interior fast-path index: the run-length-encoded interior cell set
-/// ([`InteriorRuns`]) the optimized sweep hands to its lane kernels. Build it
-/// once per flag generation with [`InteriorIndex::build`].
+/// The interior fast-path index: the runs ([`InteriorRuns`]) the optimized
+/// sweep hands to its lane kernels. Build it once per flag generation with
+/// [`InteriorIndex::build`].
 #[derive(Debug, Clone)]
 pub struct InteriorIndex {
     runs: InteriorRuns,
 }
 
 impl InteriorIndex {
-    /// Compute the runs for the current flags (see [`interior_mask`]).
+    /// Classify the current flags into runs (one pass).
     pub fn build<L: Lattice>(flags: &FlagField) -> Self {
-        let runs = InteriorRuns::from_mask(flags.dims(), &interior_mask::<L>(flags));
-        InteriorIndex { runs }
+        InteriorIndex {
+            runs: InteriorRuns::build::<L>(flags),
+        }
     }
 
-    /// Run-length-encoded interior cell set.
+    /// The runs and their descriptor table.
     #[inline(always)]
     pub fn runs(&self) -> &InteriorRuns {
         &self.runs
@@ -886,48 +989,26 @@ mod tests {
     }
 
     #[test]
-    fn interior_runs_cover_exactly_the_mask() {
-        let dims = GridDims::new(9, 6, 12);
-        let mut flags = FlagField::new(dims);
-        flags.set_box_walls();
-        // Mid-pencil obstacle: its 1-neighborhood leaves interior cells on
-        // both sides in z, so the pencil splits into two runs.
-        flags.set(4, 3, 5, NodeKind::Wall);
-        flags.set(4, 3, 6, NodeKind::Wall);
-        let mask = interior_mask::<D3Q19>(&flags);
-        let runs = InteriorRuns::from_mask(dims, &mask);
-
-        // Reconstruct a mask from the runs; it must match the original.
-        let mut rebuilt = vec![false; dims.cells()];
-        for p in 0..dims.nx * dims.ny {
-            for &(a, b) in runs.pencil(p) {
-                assert!(a < b, "empty span emitted");
-                for z in a..b {
-                    rebuilt[p * dims.nz + z as usize] = true;
-                }
-            }
-        }
-        assert_eq!(mask, rebuilt);
-        assert_eq!(runs.cell_count(), mask.iter().filter(|&&m| m).count());
-        // The obstacle splits at least one pencil into two runs, so there are
-        // strictly more runs than pencils holding any.
-        let pencils_with_runs = (0..dims.nx * dims.ny)
-            .filter(|&p| !runs.pencil(p).is_empty())
-            .count();
-        assert!(pencils_with_runs > 0);
-        assert!(runs.run_count() > pencils_with_runs);
-    }
-
-    #[test]
     fn simd_interior_kernel_matches_scalar_on_runs() {
-        // Direct sweep-level check over every lane: the 4- and 8-wide portable
-        // lanes are bit-exact against the one-wide scalar lane, the hardware
-        // lanes (when present) within 1e-12.
+        // Direct sweep-level check over every lane, masked runs (walls, two
+        // moving-wall velocities) and open faces included: the 4- and 8-wide
+        // portable lanes are bit-exact against the one-wide scalar lane, the
+        // hardware lanes (when present) within 1e-12.
         use crate::simd::{avx512_available, d3q19_sweep, simd_available, FastPath};
         let dims = GridDims::new(8, 6, 29); // nz−2 = 27: full 8-lanes + tails
         let mut flags = FlagField::new(dims);
         flags.set_box_walls();
+        flags.paint_inflow_outflow_x(1.0, [0.04, 0.0, 0.0]);
+        flags.paint_lid([0.05, 0.0, 0.02]); // moving-wall runs next to y = ny − 1
         flags.set(3, 2, 6, NodeKind::Wall); // split runs mid-pencil
+        flags.set(
+            5,
+            3,
+            12,
+            NodeKind::MovingWall {
+                u: [0.0, 0.0, 0.03],
+            },
+        );
         let src: SoaField<D3Q19> = setup_random_field(dims, 77);
         let interior = InteriorIndex::build::<D3Q19>(&flags);
         let coll = CollisionKind::Bgk(BgkParams::from_tau(0.85));
@@ -980,19 +1061,44 @@ mod tests {
     }
 
     #[test]
-    fn interior_mask_excludes_obstacle_neighbors() {
+    fn interior_runs_carry_obstacle_neighbors_as_bounce_masks() {
         let dims = GridDims::new(7, 7, 7);
         let mut flags = FlagField::new(dims);
         flags.set(3, 3, 3, NodeKind::Wall);
-        let mask = interior_mask::<D3Q19>(&flags);
-        // The wall itself and any cell that pulls from it are excluded.
-        assert!(!mask[dims.idx(3, 3, 3)]);
-        assert!(!mask[dims.idx(4, 3, 3)]);
-        assert!(!mask[dims.idx(3, 4, 3)]);
-        // A far-away interior cell is included.
-        assert!(mask[dims.idx(1, 1, 1)]);
-        // Geometric boundary is excluded even on an all-fluid grid.
-        assert!(!mask[dims.idx(0, 3, 3)]);
+        flags.set(3, 3, 1, NodeKind::MovingWall { u: [0.1, 0.0, 0.0] });
+        let index = InteriorIndex::build::<D3Q19>(&flags);
+        let runs = index.runs();
+        let desc_at = |x: usize, y: usize, z: u32| {
+            runs.pencil(y * dims.nx + x)
+                .iter()
+                .find(|s| (s.z0..s.z1).contains(&z))
+                .map(|s| *runs.descriptor(s.desc))
+        };
+        // The walls themselves and the grid edge are left to the generic path.
+        assert_eq!(desc_at(3, 3, 3), None);
+        assert_eq!(desc_at(3, 3, 1), None);
+        assert_eq!(desc_at(0, 3, 3), None);
+        assert_eq!(desc_at(3, 3, 0), None);
+        // A far-away cell runs the plain update.
+        assert_eq!(desc_at(5, 5, 5), Some(Bounce::NONE));
+        // (4,3,3) pulls direction 1 (c = +x) from the wall at x − c.
+        let b = desc_at(4, 3, 3).unwrap();
+        assert_eq!((b.mask, b.moving), (1 << 1, 0));
+        // (3,3,2) sits between the wall above (direction 6, c = −z) and the
+        // moving wall below (direction 5, c = +z).
+        let b = desc_at(3, 3, 2).unwrap();
+        assert_eq!(
+            (b.mask, b.moving, b.u),
+            (1 << 5 | 1 << 6, 1 << 5, [0.1, 0.0, 0.0])
+        );
+        // A second wall velocity in one neighborhood cannot share a run.
+        flags.set(3, 3, 3, NodeKind::MovingWall { u: [0.0, 0.2, 0.0] });
+        let index = InteriorIndex::build::<D3Q19>(&flags);
+        let runs = index.runs();
+        assert!(runs
+            .pencil(3 * dims.nx + 3)
+            .iter()
+            .all(|s| !(s.z0..s.z1).contains(&2)));
     }
 
     #[test]

@@ -11,15 +11,25 @@
 //!   the expression tree matches the generic BGK collision bit for bit),
 //!
 //! and the streaming sweeps [`d3q19_sweep`] (AB) and [`aa_d3q19_sweep`] (AA),
-//! which walk each z-pencil once: its precomputed run-length-encoded interior
-//! runs ([`crate::kernels::InteriorRuns`]) go through the lane kernel, each
-//! gap between runs through the generic per-cell update. The SoA layout is
+//! which walk each z-pencil once: its precomputed runs
+//! ([`crate::kernels::InteriorRuns`]) go through the lane kernel, each gap
+//! between runs through the generic per-cell update. The SoA layout is
 //! z-innermost (`idx = (y·nx + x)·nz + z`), so within a run all 19
 //! pull-scheme gathers are plain contiguous (unaligned) lane-wide loads from
 //! a shifted line. Sub-lane run tails go through the one-wide [`ScalarLane`],
 //! which rounds exactly like the scalar reference. For AA the odd flavor
 //! pulls from reversed slots and scatters, the even flavor is a purely local
 //! load/collide/reversed-store permute.
+//!
+//! Every run carries a bounce-back descriptor ([`crate::kernels::Bounce`]).
+//! Once per run the sweep turns it into a load table (`RunLoads`): a
+//! direction whose pull source is a wall loads the bounced population from
+//! the cell's own slot (AB: plane `opp(q)`; AA odd: plane `q`) or from the
+//! wall's mailbox (AA even: plane `opp(q)` of the pull source), and a
+//! moving-wall direction adds Ladd's `6·w_q·(c_q · u_w)` after the load.
+//! Runs with descriptor 0 share one table per sweep, so the plain interior
+//! update is unchanged; the per-cell flag lookups of the generic update are
+//! left to open-boundary, NEBB, grid-edge and solid cells.
 //!
 //! Lane widths: the AVX2 lane and the default portable lane are 4 × f64
 //! ([`LANES`]); an 8 × f64 AVX-512F lane (plus a bit-exact `[f64; 8]` portable
@@ -46,7 +56,7 @@
 use crate::collision::CollisionKind;
 use crate::flags::FlagField;
 use crate::geometry::GridDims;
-use crate::kernels::{aa_generic_cell, generic_cell, InteriorRuns, MAX_Q};
+use crate::kernels::{aa_generic_cell, generic_cell, Bounce, InteriorRuns, MAX_Q};
 use crate::lattice::{Lattice, D3Q19};
 use crate::layout::{AaParity, PopField, SoaField};
 use crate::Scalar;
@@ -134,24 +144,35 @@ static LANE_POLICY: AtomicU8 = AtomicU8::new(0);
 /// Set the process-wide lane policy (tests serialize on their own mutex; the
 /// policy is read once per dispatched step, so flipping it mid-run is safe).
 pub fn set_lane_policy(policy: LanePolicy) {
-    let v = match policy {
-        LanePolicy::Auto => 0,
-        LanePolicy::ForcePortable => 1,
-        LanePolicy::ForceScalar => 2,
-        LanePolicy::ForceAvx2 => 3,
-        LanePolicy::ForceAvx512 => 4,
-    };
-    LANE_POLICY.store(v, Ordering::Relaxed);
+    LANE_POLICY.store(policy.code(), Ordering::Relaxed);
 }
 
 /// The active process-wide lane policy.
 pub fn lane_policy() -> LanePolicy {
-    match LANE_POLICY.load(Ordering::Relaxed) {
-        1 => LanePolicy::ForcePortable,
-        2 => LanePolicy::ForceScalar,
-        3 => LanePolicy::ForceAvx2,
-        4 => LanePolicy::ForceAvx512,
-        _ => LanePolicy::Auto,
+    LanePolicy::from_code(LANE_POLICY.load(Ordering::Relaxed))
+}
+
+impl LanePolicy {
+    /// The code the process-wide policy is stored as.
+    fn code(self) -> u8 {
+        match self {
+            LanePolicy::Auto => 0,
+            LanePolicy::ForcePortable => 1,
+            LanePolicy::ForceScalar => 2,
+            LanePolicy::ForceAvx2 => 3,
+            LanePolicy::ForceAvx512 => 4,
+        }
+    }
+
+    /// Inverse of [`LanePolicy::code`]; unknown codes read as `Auto`.
+    fn from_code(v: u8) -> Self {
+        match v {
+            1 => LanePolicy::ForcePortable,
+            2 => LanePolicy::ForceScalar,
+            3 => LanePolicy::ForceAvx2,
+            4 => LanePolicy::ForceAvx512,
+            _ => LanePolicy::Auto,
+        }
     }
 }
 
@@ -209,36 +230,46 @@ pub(crate) enum FastPath {
     Scalar,
 }
 
+/// The vector units a CPU offers the lane dispatch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CpuLanes {
+    /// AVX2 and FMA are both present.
+    pub avx2: bool,
+    /// AVX-512F is present.
+    pub avx512: bool,
+}
+
+/// The fast path (and the [`KernelClass`] it reports) that `policy` selects
+/// with `SWLB_NO_SIMD` set or not (`no_simd`) on a CPU offering `cpu`. Pure,
+/// so the selection is testable without touching the process-wide policy.
+pub(crate) fn fast_path_for(
+    policy: LanePolicy,
+    no_simd: bool,
+    cpu: CpuLanes,
+) -> (FastPath, KernelClass) {
+    let avx2 = !no_simd && cpu.avx2;
+    let avx512 = !no_simd && cpu.avx512;
+    match policy {
+        LanePolicy::ForceScalar => (FastPath::Scalar, KernelClass::Scalar),
+        LanePolicy::ForcePortable => (FastPath::Portable, KernelClass::Scalar),
+        LanePolicy::ForceAvx2 if avx2 => (FastPath::Avx2, KernelClass::Simd),
+        LanePolicy::ForceAvx2 => (FastPath::Portable, KernelClass::Scalar),
+        LanePolicy::ForceAvx512 if avx512 => (FastPath::Avx512, KernelClass::Simd),
+        LanePolicy::ForceAvx512 => (FastPath::Portable8, KernelClass::Scalar),
+        LanePolicy::Auto if avx512 => (FastPath::Avx512, KernelClass::Simd),
+        LanePolicy::Auto if avx2 => (FastPath::Avx2, KernelClass::Simd),
+        LanePolicy::Auto => (FastPath::Portable, KernelClass::Scalar),
+    }
+}
+
 /// Resolve the lane policy, environment and CPU into the fast path an eligible
 /// step will take, plus the [`KernelClass`] it reports.
 pub(crate) fn select_fast_path() -> (FastPath, KernelClass) {
-    match lane_policy() {
-        LanePolicy::ForceScalar => (FastPath::Scalar, KernelClass::Scalar),
-        LanePolicy::ForcePortable => (FastPath::Portable, KernelClass::Scalar),
-        LanePolicy::ForceAvx2 => {
-            if !no_simd_env() && simd_available() {
-                (FastPath::Avx2, KernelClass::Simd)
-            } else {
-                (FastPath::Portable, KernelClass::Scalar)
-            }
-        }
-        LanePolicy::ForceAvx512 => {
-            if !no_simd_env() && avx512_available() {
-                (FastPath::Avx512, KernelClass::Simd)
-            } else {
-                (FastPath::Portable8, KernelClass::Scalar)
-            }
-        }
-        LanePolicy::Auto => {
-            if !no_simd_env() && avx512_available() {
-                (FastPath::Avx512, KernelClass::Simd)
-            } else if !no_simd_env() && simd_available() {
-                (FastPath::Avx2, KernelClass::Simd)
-            } else {
-                (FastPath::Portable, KernelClass::Scalar)
-            }
-        }
-    }
+    let cpu = CpuLanes {
+        avx2: simd_available(),
+        avx512: avx512_available(),
+    };
+    fast_path_for(lane_policy(), no_simd_env(), cpu)
 }
 
 /// The [`KernelClass`] an eligible D3Q19/BGK fast-path step reports under the
@@ -715,33 +746,132 @@ fn lane_collide<V: Lane>(f: &mut [V; 19], omega: Scalar) {
     relax!(18, WE, uy.neg().add(uz));
 }
 
-/// One lane-wide fused AB update of [`Lane::WIDTH`] consecutive-z interior
-/// cells starting at linear index `this`: pull-gather from `sraw`, collide,
-/// store to `draw`.
+/// The step flavors of the lane kernels; each reads its populations from
+/// different slots (see [`FlavorLoads::new`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Flavor {
+    /// AB pull from the source grid.
+    Ab,
+    /// AA odd step: pull from reversed slots, scatter.
+    AaOdd,
+    /// AA even step: local load, reversed local store.
+    AaEven,
+}
+
+/// Where a run's lane kernel loads each of the 19 populations from, derived
+/// once per run from its bounce-back descriptor: `ld[q]` is the offset of
+/// direction `q`'s slot from the cell's linear index (plane · cells + shift),
+/// and the directions in `moving` add `corr[q]` after the load.
+struct RunLoads {
+    ld: [isize; 19],
+    moving: u32,
+    corr: [Scalar; 19],
+}
+
+/// The load offsets of one step flavor when no pull source is solid
+/// (`plain`) and when every one is (`bounced`); a run picks per direction.
+struct FlavorLoads {
+    plain: [isize; 19],
+    bounced: [isize; 19],
+}
+
+impl FlavorLoads {
+    /// A streaming direction `q` reads plane `q` of the pull source (AB),
+    /// plane `opp(q)` of the pull source (AA odd) or plane `q` of the cell
+    /// itself (AA even); a bounce direction reads plane `opp(q)` of the cell
+    /// (AB), plane `q` of the cell (AA odd) or plane `opp(q)` of the solid
+    /// pull source, its mailbox (AA even) — the slots
+    /// [`crate::kernels::generic_cell`] and [`crate::kernels::aa_generic_cell`]
+    /// read.
+    fn new(flavor: Flavor, cells: usize, off: &[isize; 19]) -> Self {
+        let table = |bounce: bool| {
+            std::array::from_fn(|q| {
+                let opp_plane = bounce != (flavor == Flavor::AaOdd);
+                let shifted = bounce == (flavor == Flavor::AaEven);
+                let plane = if opp_plane { D3Q19::OPP[q] } else { q };
+                (plane * cells) as isize + if shifted { off[q] } else { 0 }
+            })
+        };
+        FlavorLoads {
+            plain: table(false),
+            bounced: table(true),
+        }
+    }
+
+    /// The loads of a run with descriptor `b`.
+    fn run(&self, b: &Bounce) -> RunLoads {
+        let ld = std::array::from_fn(|q| {
+            if b.mask >> q & 1 == 1 {
+                self.bounced[q]
+            } else {
+                self.plain[q]
+            }
+        });
+        // Ladd's wall-momentum term 6·w_q·(c_q · u_w), summed in
+        // `gather_pull`'s order so the lane add rounds like the reference.
+        let mut corr = [0.0; 19];
+        if b.moving != 0 {
+            corr = std::array::from_fn(|q| {
+                let c = D3Q19::C[q];
+                let cu =
+                    c[0] as Scalar * b.u[0] + c[1] as Scalar * b.u[1] + c[2] as Scalar * b.u[2];
+                6.0 * D3Q19::W[q] * cu
+            });
+        }
+        RunLoads {
+            ld,
+            moving: b.moving,
+            corr,
+        }
+    }
+}
+
+/// Gather the 19 populations of the [`Lane::WIDTH`] cells starting at
+/// linear index `this` through the run's load table.
 ///
 /// # Safety
-/// Cells `this .. this + WIDTH` must all be interior (inside one run),
-/// `sraw`/`draw` must cover `19 * cells` scalars, and no other thread may
-/// write these cells concurrently.
+/// Every `p + this + ld[q]` must be valid for reading `WIDTH` scalars.
 #[inline(always)]
-unsafe fn lane_update<V: Lane>(
-    sraw: &[Scalar],
-    draw: *mut Scalar,
-    cells: usize,
-    off: &[isize; 19],
-    this: usize,
-    omega: Scalar,
-) {
-    let sp = sraw.as_ptr();
+unsafe fn gather<V: Lane>(p: *const Scalar, loads: &RunLoads, this: usize) -> [V; 19] {
+    let p = unsafe { p.add(this) };
     let mut f = [V::splat(0.0); 19];
     macro_rules! pull {
         ($($q:literal)*) => {$(
-            f[$q] = unsafe {
-                V::load(sp.add(($q * cells as isize + this as isize + off[$q]) as usize))
-            };
+            f[$q] = unsafe { V::load(p.offset(loads.ld[$q])) };
         )*};
     }
     pull!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18);
+    if loads.moving != 0 {
+        macro_rules! wall {
+            ($($q:literal)*) => {$(
+                if loads.moving >> $q & 1 == 1 {
+                    f[$q] = f[$q].add(V::splat(loads.corr[$q]));
+                }
+            )*};
+        }
+        wall!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18);
+    }
+    f
+}
+
+/// One lane-wide fused AB update of [`Lane::WIDTH`] consecutive-z run cells
+/// starting at linear index `this`: gather from `sp` through `loads`,
+/// collide, store to `draw`.
+///
+/// # Safety
+/// Cells `this .. this + WIDTH` must all lie inside one run whose descriptor
+/// `loads` was built from, `sp`/`draw` must cover `19 * cells` scalars, and no
+/// other thread may write these cells concurrently.
+#[inline(always)]
+unsafe fn lane_update<V: Lane>(
+    sp: *const Scalar,
+    draw: *mut Scalar,
+    cells: usize,
+    loads: &RunLoads,
+    this: usize,
+    omega: Scalar,
+) {
+    let mut f = unsafe { gather::<V>(sp, loads, this) };
     lane_collide::<V>(&mut f, omega);
     macro_rules! push {
         ($($q:literal)*) => {$(
@@ -752,10 +882,11 @@ unsafe fn lane_update<V: Lane>(
 }
 
 /// One lane-wide AA **odd** (pull + scatter) update of [`Lane::WIDTH`]
-/// consecutive-z interior cells. The grid holds the *reversed* state
+/// consecutive-z run cells. The grid holds the *reversed* state
 /// (`raw[x][q] = f*_opp(q)(x)`), so streaming-in population `q` lives in plane
-/// `opp(q)` of the pull neighbor (`this + off[q]`); post-collision values
-/// scatter to plane `q` of the push neighbor (`this − off[q]`), producing the
+/// `opp(q)` of the pull neighbor (or, bounced, in plane `q` of the cell);
+/// post-collision values scatter to plane `q` of the push neighbor
+/// (`this − off[q]`, a wall's mailbox when it is solid), producing the
 /// *streamed* state. All 19 loads complete before any store, and a slot's only
 /// odd-step writer is the cell whose own gather reads it, so any traversal
 /// order (and any slab/lane partition) is race-free.
@@ -767,20 +898,11 @@ unsafe fn aa_odd_lane_update<V: Lane>(
     raw: *mut Scalar,
     cells: usize,
     off: &[isize; 19],
+    loads: &RunLoads,
     this: usize,
     omega: Scalar,
 ) {
-    let mut f = [V::splat(0.0); 19];
-    // opp(q) pairs: 0↔0, then (1,2)(3,4)…(17,18).
-    macro_rules! pull {
-        ($(($q:literal, $opp:literal))*) => {$(
-            f[$q] = unsafe {
-                V::load(raw.add(($opp * cells as isize + this as isize + off[$q]) as usize))
-            };
-        )*};
-    }
-    pull!((0, 0) (1, 2) (2, 1) (3, 4) (4, 3) (5, 6) (6, 5) (7, 8) (8, 7) (9, 10) (10, 9)
-          (11, 12) (12, 11) (13, 14) (14, 13) (15, 16) (16, 15) (17, 18) (18, 17));
+    let mut f = unsafe { gather::<V>(raw, loads, this) };
     lane_collide::<V>(&mut f, omega);
     macro_rules! scatter {
         ($($q:literal)*) => {$(
@@ -793,22 +915,23 @@ unsafe fn aa_odd_lane_update<V: Lane>(
 }
 
 /// One lane-wide AA **even** (local permute) update of [`Lane::WIDTH`]
-/// consecutive-z interior cells. The grid holds the *streamed* state
-/// (`raw[y][q] = f*_q(y − c_q)`), so every gather is the cell's own slot;
-/// post-collision values store back locally with slots reversed, producing the
-/// *reversed* state. Purely cell-local — no neighbor traffic at all.
+/// consecutive-z run cells. The grid holds the *streamed* state
+/// (`raw[y][q] = f*_q(y − c_q)`), so every streaming gather is the cell's own
+/// slot and a bounce direction reads the wall mailbox the odd step parked it
+/// in; post-collision values store back locally with slots reversed,
+/// producing the *reversed* state.
 ///
 /// # Safety
 /// As [`aa_odd_lane_update`].
 #[inline(always)]
-unsafe fn aa_even_lane_update<V: Lane>(raw: *mut Scalar, cells: usize, this: usize, omega: Scalar) {
-    let mut f = [V::splat(0.0); 19];
-    macro_rules! pull {
-        ($($q:literal)*) => {$(
-            f[$q] = unsafe { V::load(raw.add($q * cells + this).cast_const()) };
-        )*};
-    }
-    pull!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18);
+unsafe fn aa_even_lane_update<V: Lane>(
+    raw: *mut Scalar,
+    cells: usize,
+    loads: &RunLoads,
+    this: usize,
+    omega: Scalar,
+) {
+    let mut f = unsafe { gather::<V>(raw, loads, this) };
     lane_collide::<V>(&mut f, omega);
     macro_rules! store_rev {
         ($(($q:literal, $opp:literal))*) => {$(
@@ -829,11 +952,65 @@ fn pull_offsets(dims: GridDims) -> [isize; 19] {
     })
 }
 
-/// The AB streaming sweep over `xr × ys`: each z-pencil is walked once, in
-/// ascending z. Interior runs go through [`lane_update`] in full `V` lanes
-/// with sub-lane tails on [`ScalarLane`]; every other cell (walls, fluid next
-/// to walls, ghost and boundary cells) goes through the generic per-cell
-/// update with the caller's `collision` where the walk meets it.
+/// The pencil walk both sweeps share: each z-pencil of `xr × ys` is walked
+/// once, in ascending z. A run's load table is picked once per run from the
+/// sweep's [`FlavorLoads`] (runs with descriptor 0 share one); `lane`
+/// updates one full `width`-wide group at `this` and `tail` one sub-lane
+/// tail cell, both with the run's `loads`, and `gap` updates every cell
+/// `(x, y, z)` between runs.
+/// A macro, not a function taking closures: closures would be compiled
+/// without the caller's `target_feature`s, turning every lane op into a call.
+macro_rules! walk_pencils {
+    ($runs:expr, $flavor:expr, $off:expr, $dims:expr, $width:expr, $xr:expr, $ys:expr,
+     lane |$loads:ident, $this:ident| $lane:expr,
+     tail $tail:expr,
+     gap |$x:ident, $y:ident, $z:ident| $gap:expr $(,)?) => {{
+        let dims: GridDims = $dims;
+        let runs: &InteriorRuns = $runs;
+        let (nx, nz) = (dims.nx, dims.nz);
+        let tables = FlavorLoads::new($flavor, dims.cells(), $off);
+        let plain = tables.run(&Bounce::NONE);
+        for $y in $ys {
+            for $x in $xr.clone() {
+                let pencil = $y * nx + $x;
+                let base = pencil * nz;
+                let mut z = 0;
+                for s in runs.pencil(pencil) {
+                    let (z0, z1) = (s.z0 as usize, s.z1 as usize);
+                    for $z in z..z0 {
+                        $gap
+                    }
+                    z = z0;
+                    let masked;
+                    let $loads = if s.desc == 0 {
+                        &plain
+                    } else {
+                        masked = tables.run(runs.descriptor(s.desc));
+                        &masked
+                    };
+                    while z + $width <= z1 {
+                        let $this = base + z;
+                        $lane;
+                        z += $width;
+                    }
+                    while z < z1 {
+                        let $this = base + z;
+                        $tail;
+                        z += 1;
+                    }
+                }
+                for $z in z..nz {
+                    $gap
+                }
+            }
+        }
+    }};
+}
+
+/// The AB streaming sweep over `xr × ys`: runs go through [`lane_update`] in
+/// full `V` lanes with sub-lane tails on [`ScalarLane`]; every other cell
+/// (walls, grid-edge cells, open and NEBB boundaries) goes through the generic
+/// per-cell update with the caller's `collision` where the walk meets it.
 ///
 /// # Safety
 /// See [`d3q19_sweep`].
@@ -850,45 +1027,27 @@ unsafe fn ab_sweep_impl<V: Lane>(
     runs: &InteriorRuns,
 ) {
     let dims = flags.dims();
-    let (nx, nz, cells) = (dims.nx, dims.nz, dims.cells());
-    let sraw = src.raw();
-    debug_assert_eq!(sraw.len(), 19 * cells);
+    let cells = dims.cells();
+    let sp = src.raw().as_ptr();
+    debug_assert_eq!(src.raw().len(), 19 * cells);
     let off = pull_offsets(dims);
     let mut f = [0.0; MAX_Q];
-    // SAFETY (all calls below): a run certifies its cells interior (all 18
-    // pull sources in bounds); the caller certifies buffers and exclusivity.
-    let mut gap = |z0: usize, z1: usize, x: usize, y: usize| {
-        for z in z0..z1 {
-            unsafe { generic_cell::<D3Q19, _>(flags, src, draw, collision, x, y, z, &mut f) };
-        }
-    };
-    for y in ys {
-        for x in xr.clone() {
-            let pencil = y * nx + x;
-            let base = pencil * nz;
-            let mut z = 0;
-            for &(rz0, rz1) in runs.pencil(pencil) {
-                let (rz0, rz1) = (rz0 as usize, rz1 as usize);
-                gap(z, rz0, x, y);
-                z = rz0;
-                while z + V::WIDTH <= rz1 {
-                    unsafe { lane_update::<V>(sraw, draw, cells, &off, base + z, omega) };
-                    z += V::WIDTH;
-                }
-                while z < rz1 {
-                    unsafe { lane_update::<ScalarLane>(sraw, draw, cells, &off, base + z, omega) };
-                    z += 1;
-                }
-            }
-            gap(z, nz, x, y);
-        }
-    }
+    // SAFETY (all calls below): a run certifies its cells' pull sources in
+    // bounds and its descriptor; the caller certifies buffers and exclusivity.
+    walk_pencils!(
+        runs, Flavor::Ab, &off, dims, V::WIDTH, xr, ys,
+        lane |loads, this| unsafe { lane_update::<V>(sp, draw, cells, loads, this, omega) },
+        tail unsafe { lane_update::<ScalarLane>(sp, draw, cells, loads, this, omega) },
+        gap |x, y, z| unsafe {
+            generic_cell::<D3Q19, _>(flags, src, draw, collision, x, y, z, &mut f)
+        },
+    );
 }
 
 /// The AA twin of [`ab_sweep_impl`]: the same pencil walk (so the lane/tail
 /// split per cell is identical to the AB sweep at equal lane width), running
-/// the odd or even AA lane update per [`AaParity`] on interior runs and the
-/// generic AA cell update on the gaps.
+/// the odd or even AA lane update per [`AaParity`] on runs and the generic AA
+/// cell update on the gaps.
 ///
 /// # Safety
 /// See [`aa_d3q19_sweep`].
@@ -905,49 +1064,37 @@ unsafe fn aa_sweep_impl<V: Lane>(
     runs: &InteriorRuns,
 ) {
     let dims = flags.dims();
-    let (nx, nz, cells) = (dims.nx, dims.nz, dims.cells());
+    let cells = dims.cells();
     let off = pull_offsets(dims);
     let mut f = [0.0; MAX_Q];
-    // SAFETY (all calls below): a run certifies its cells interior (all 18
-    // neighbors fluid and in bounds, so odd scatters stay in bounds); the
-    // caller certifies the buffer and the AA slot-ownership argument.
-    let mut gap = |z0: usize, z1: usize, x: usize, y: usize| {
-        for z in z0..z1 {
-            unsafe { aa_generic_cell::<D3Q19>(flags, raw, collision, parity, x, y, z, &mut f) };
-        }
-    };
-    macro_rules! run {
-        ($lane:ty, $this:expr) => {
-            match parity {
-                AaParity::Reversed => unsafe {
-                    aa_odd_lane_update::<$lane>(raw, cells, &off, $this, omega)
-                },
-                AaParity::Streamed => unsafe {
-                    aa_even_lane_update::<$lane>(raw, cells, $this, omega)
-                },
-            }
-        };
-    }
-    for y in ys {
-        for x in xr.clone() {
-            let pencil = y * nx + x;
-            let base = pencil * nz;
-            let mut z = 0;
-            for &(rz0, rz1) in runs.pencil(pencil) {
-                let (rz0, rz1) = (rz0 as usize, rz1 as usize);
-                gap(z, rz0, x, y);
-                z = rz0;
-                while z + V::WIDTH <= rz1 {
-                    run!(V, base + z);
-                    z += V::WIDTH;
-                }
-                while z < rz1 {
-                    run!(ScalarLane, base + z);
-                    z += 1;
-                }
-            }
-            gap(z, nz, x, y);
-        }
+    // SAFETY (all calls below): a run certifies its cells' neighbors in
+    // bounds (so odd scatters stay in bounds) and its descriptor; the caller
+    // certifies the buffer and the AA slot-ownership argument.
+    match parity {
+        AaParity::Reversed => walk_pencils!(
+            runs, Flavor::AaOdd, &off, dims, V::WIDTH, xr, ys,
+            lane |loads, this| unsafe {
+                aa_odd_lane_update::<V>(raw, cells, &off, loads, this, omega)
+            },
+            tail unsafe {
+                aa_odd_lane_update::<ScalarLane>(raw, cells, &off, loads, this, omega)
+            },
+            gap |x, y, z| unsafe {
+                aa_generic_cell::<D3Q19>(flags, raw, collision, parity, x, y, z, &mut f)
+            },
+        ),
+        AaParity::Streamed => walk_pencils!(
+            runs, Flavor::AaEven, &off, dims, V::WIDTH, xr, ys,
+            lane |loads, this| unsafe {
+                aa_even_lane_update::<V>(raw, cells, loads, this, omega)
+            },
+            tail unsafe {
+                aa_even_lane_update::<ScalarLane>(raw, cells, loads, this, omega)
+            },
+            gap |x, y, z| unsafe {
+                aa_generic_cell::<D3Q19>(flags, raw, collision, parity, x, y, z, &mut f)
+            },
+        ),
     }
 }
 
@@ -988,10 +1135,11 @@ hw_sweep!(aa_sweep_avx512, aa_sweep_impl, Avx512Lane, "avx512f",
 ///
 /// # Safety
 /// `draw` must point at `19 * cells` writable scalars distinct from `src`,
-/// `runs` must describe interior cells of `flags` (every run cell has all 18
-/// pull sources in bounds), no other thread may write any cell in `xr × ys`
-/// concurrently, and hardware lanes require their CPU feature (guaranteed by
-/// [`select_fast_path`]).
+/// no other thread may write any cell in `xr × ys` concurrently, and
+/// hardware lanes require their CPU feature (guaranteed by
+/// [`select_fast_path`]). `runs` must be built on a grid of `flags`' size
+/// (asserted: every run cell then has all 18 pull sources in bounds); runs
+/// of other flags on the same grid stay in bounds but step that geometry.
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn d3q19_sweep(
     flags: &FlagField,
@@ -1004,6 +1152,7 @@ pub(crate) unsafe fn d3q19_sweep(
     runs: &InteriorRuns,
     path: FastPath,
 ) {
+    assert_eq!(runs.dims(), flags.dims(), "interior runs built for another grid");
     // SAFETY: caller contract; hardware paths are feature-checked upstream.
     unsafe {
         match path {
@@ -1035,11 +1184,10 @@ pub(crate) unsafe fn d3q19_sweep(
 /// step flavor selected by `parity` over the single grid `raw`.
 ///
 /// # Safety
-/// `raw` must point at `19 * cells` writable scalars; `runs` must describe
-/// interior cells of `flags`; no other code may read or write the grid during
-/// the sweep except through the AA step itself (whose slot-ownership
-/// discipline makes concurrent slabs race-free); hardware lanes require their
-/// CPU feature.
+/// `raw` must point at `19 * cells` writable scalars; no other code may read
+/// or write the grid during the sweep except through the AA step itself
+/// (whose slot-ownership discipline makes concurrent slabs race-free);
+/// hardware lanes require their CPU feature. `runs` as for [`d3q19_sweep`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn aa_d3q19_sweep(
     flags: &FlagField,
@@ -1052,6 +1200,7 @@ pub(crate) unsafe fn aa_d3q19_sweep(
     runs: &InteriorRuns,
     path: FastPath,
 ) {
+    assert_eq!(runs.dims(), flags.dims(), "interior runs built for another grid");
     // SAFETY: caller contract; hardware paths are feature-checked upstream.
     unsafe {
         match path {
@@ -1236,46 +1385,59 @@ mod tests {
 
     #[test]
     fn policy_roundtrip_and_selection() {
-        let prev = lane_policy();
-        set_lane_policy(LanePolicy::ForceScalar);
-        assert_eq!(select_fast_path(), (FastPath::Scalar, KernelClass::Scalar));
-        set_lane_policy(LanePolicy::ForcePortable);
-        assert_eq!(
-            select_fast_path(),
-            (FastPath::Portable, KernelClass::Scalar)
-        );
-        assert_eq!(dispatch_tolerance(), 0.0);
+        // Pure functions only: the process-wide policy is read concurrently
+        // by the other unit tests of this crate, so this test never sets it.
+        for p in [
+            LanePolicy::Auto,
+            LanePolicy::ForcePortable,
+            LanePolicy::ForceScalar,
+            LanePolicy::ForceAvx2,
+            LanePolicy::ForceAvx512,
+        ] {
+            assert_eq!(LanePolicy::from_code(p.code()), p);
+        }
+        assert_eq!(LanePolicy::from_code(9), LanePolicy::Auto);
 
-        // The force-hardware policies degrade to their portable twin (same
-        // chunk width for ForceAvx512) when the feature is absent or masked.
-        set_lane_policy(LanePolicy::ForceAvx2);
-        if simd_available() && !no_simd_env() {
-            assert_eq!(select_fast_path(), (FastPath::Avx2, KernelClass::Simd));
-        } else {
-            assert_eq!(select_fast_path(), (FastPath::Portable, KernelClass::Scalar));
+        let cpu = |avx2, avx512| CpuLanes { avx2, avx512 };
+        let (scalar, simd) = (KernelClass::Scalar, KernelClass::Simd);
+        for no_simd in [false, true] {
+            for c in [
+                cpu(false, false),
+                cpu(true, false),
+                cpu(true, true),
+                cpu(false, true),
+            ] {
+                let sel = |p| fast_path_for(p, no_simd, c);
+                // The forced scalar-semantics lanes ignore the CPU.
+                assert_eq!(sel(LanePolicy::ForceScalar), (FastPath::Scalar, scalar));
+                assert_eq!(sel(LanePolicy::ForcePortable), (FastPath::Portable, scalar));
+                // The force-hardware policies degrade to their portable twin
+                // (same chunk width for ForceAvx512) when the feature is
+                // absent or masked by SWLB_NO_SIMD.
+                let (avx2, avx512) = (c.avx2 && !no_simd, c.avx512 && !no_simd);
+                let expect = if avx2 {
+                    (FastPath::Avx2, simd)
+                } else {
+                    (FastPath::Portable, scalar)
+                };
+                assert_eq!(sel(LanePolicy::ForceAvx2), expect);
+                let expect = if avx512 {
+                    (FastPath::Avx512, simd)
+                } else {
+                    (FastPath::Portable8, scalar)
+                };
+                assert_eq!(sel(LanePolicy::ForceAvx512), expect);
+                // Auto takes the widest hardware lane, else the portable one.
+                let expect = if avx512 {
+                    (FastPath::Avx512, simd)
+                } else if avx2 {
+                    (FastPath::Avx2, simd)
+                } else {
+                    (FastPath::Portable, scalar)
+                };
+                assert_eq!(sel(LanePolicy::Auto), expect);
+            }
         }
-        set_lane_policy(LanePolicy::ForceAvx512);
-        if avx512_available() && !no_simd_env() {
-            assert_eq!(select_fast_path(), (FastPath::Avx512, KernelClass::Simd));
-        } else {
-            assert_eq!(
-                select_fast_path(),
-                (FastPath::Portable8, KernelClass::Scalar)
-            );
-        }
-
-        set_lane_policy(LanePolicy::Auto);
-        let (path, class) = select_fast_path();
-        if avx512_available() && !no_simd_env() {
-            assert_eq!((path, class), (FastPath::Avx512, KernelClass::Simd));
-            assert_eq!(dispatch_tolerance(), 1e-12);
-        } else if simd_available() && !no_simd_env() {
-            assert_eq!((path, class), (FastPath::Avx2, KernelClass::Simd));
-            assert_eq!(dispatch_tolerance(), 1e-12);
-        } else {
-            assert_eq!((path, class), (FastPath::Portable, KernelClass::Scalar));
-        }
-        set_lane_policy(prev);
     }
 
     #[test]

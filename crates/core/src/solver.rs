@@ -24,8 +24,7 @@
 //! (the raw current grid, whose slot interpretation depends on the scheme and
 //! [`Solver::parity`]) plus [`Solver::canonical_populations`]/
 //! [`Solver::restore_canonical`] (the scheme-portable post-collision view used
-//! by checkpoints, diagnostics and equivalence tests). The AB-only
-//! `populations()`/`populations_mut()` accessors are deprecated.
+//! by checkpoints, diagnostics and equivalence tests).
 
 use crate::collision::{BgkParams, CollisionKind};
 use crate::error::CoreError;
@@ -285,42 +284,6 @@ impl<L: Lattice> Solver<L> {
     /// responsible for honoring the current [`Solver::parity`] slot
     /// interpretation; prefer [`Solver::restore_canonical`] for restarts.
     pub fn state_mut(&mut self) -> &mut SoaField<L> {
-        self.storage.state_mut()
-    }
-
-    /// Current (readable) population field — AB scheme only.
-    ///
-    /// # Panics
-    /// Panics under AA storage, where the raw grid is not canonically ordered;
-    /// use [`Solver::state`] or [`Solver::canonical_populations`] instead.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use the scheme-agnostic `state()` / `canonical_populations()` instead"
-    )]
-    pub fn populations(&self) -> &SoaField<L> {
-        assert_eq!(
-            self.storage.scheme(),
-            StorageScheme::Ab,
-            "populations() is AB-only; use state()/canonical_populations() under AA storage"
-        );
-        self.storage.state()
-    }
-
-    /// Mutable access to the current populations — AB scheme only.
-    ///
-    /// # Panics
-    /// Panics under AA storage; use [`Solver::state_mut`] or
-    /// [`Solver::restore_canonical`] instead.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use the scheme-agnostic `state_mut()` / `restore_canonical()` instead"
-    )]
-    pub fn populations_mut(&mut self) -> &mut SoaField<L> {
-        assert_eq!(
-            self.storage.scheme(),
-            StorageScheme::Ab,
-            "populations_mut() is AB-only; use state_mut()/restore_canonical() under AA storage"
-        );
         self.storage.state_mut()
     }
 

@@ -12,7 +12,9 @@ use swlb_core::collision::{
 use swlb_core::equilibrium::{equilibrium, moments};
 use swlb_core::flags::FlagField;
 use swlb_core::geometry::GridDims;
-use swlb_core::kernels::{aa_step_rect, fused_step, fused_step_optimized, InteriorIndex};
+use swlb_core::kernels::{
+    aa_step_rect, fused_step, fused_step_optimized, Bounce, InteriorIndex, Span,
+};
 use swlb_core::lattice::{Lattice, D2Q9, D3Q19};
 use swlb_core::layout::{AaParity, AosField, PopField, SoaField, StorageScheme};
 use swlb_core::parallel::ThreadPool;
@@ -44,24 +46,62 @@ fn field_from<L: Lattice, F: PopField<L>>(dims: GridDims, vals: &[Scalar]) -> F 
 }
 
 /// Depth of the deep random-geometry grid: with obstacles only in its mid
-/// z-plane, a split pencil keeps interior runs of 10 and 11 cells, so every
-/// lane width (up to 8) fills at least once on both sides of the gap.
+/// z-plane, a split pencil keeps runs of 10 and 11 cells, so every lane width
+/// (up to 8) fills at least once on both sides of the gap.
 const DEEP_NZ: usize = 26;
 
-/// A sealed 6×6×`nz` box with interior wall cells where `bits` says so. On
-/// the deep grid only the mid z-plane takes obstacles (see [`DEEP_NZ`]).
-fn random_obstacles(nz: usize, bits: &[bool]) -> FlagField {
+/// Open boundary painted on the x faces of a random geometry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Open {
+    None,
+    InletOutlet,
+    Nebb,
+}
+
+/// A seeded random geometry: a 6×6×`nz` box whose `y = ny − 1` plane is a lid
+/// moving at `lid`, random interior obstacles (only in the mid z-plane of the
+/// deep grid; see [`DEEP_NZ`]) that are walls or, when `obstacle_u` is given,
+/// walls moving at that second velocity, and the `open` boundary on the x
+/// faces. Cells next to both the lid and a moving obstacle see two wall
+/// velocities and stay on the generic path, next to masked runs.
+fn random_geometry(
+    nz: usize,
+    bits: &[bool],
+    lid: [Scalar; 3],
+    obstacle_u: Option<[Scalar; 3]>,
+    open: Open,
+) -> FlagField {
     let dims = GridDims::new(6, 6, nz);
     let mut flags = FlagField::new(dims);
     flags.set_box_walls();
+    match open {
+        Open::None => {}
+        Open::InletOutlet => flags.paint_inflow_outflow_x(1.0, [0.04, 0.0, 0.0]),
+        Open::Nebb => flags.paint_nebb_inflow_outflow_x([0.04, 0.0, 0.0], 1.0),
+    }
+    let obstacle = match obstacle_u {
+        Some(u) => NodeKind::MovingWall { u },
+        None => NodeKind::Wall,
+    };
     for c in 0..dims.cells() {
         let [x, y, z] = dims.coords(c);
         let plane_ok = nz < DEEP_NZ || z == nz / 2;
         if !dims.on_boundary(x, y, z) && plane_ok && bits[c % bits.len()] {
-            flags.set(x, y, z, NodeKind::Wall);
+            flags.set(x, y, z, obstacle);
         }
     }
+    flags.paint_lid(lid);
     flags
+}
+
+/// Strategy: a small wall velocity.
+fn wall_velocity() -> impl Strategy<Value = [Scalar; 3]> {
+    (-0.1f64..0.1, -0.1f64..0.1, -0.1f64..0.1).prop_map(|(a, b, c)| [a, b, c])
+}
+
+/// Strategy: obstacles at rest (`None`) or moving at a second velocity.
+fn obstacle_velocity() -> impl Strategy<Value = Option<[Scalar; 3]>> {
+    (prop::bool::weighted(0.5), wall_velocity()).prop_map(|(moving, u)| moving.then_some(u))
 }
 
 proptest! {
@@ -221,8 +261,14 @@ proptest! {
         tau in 0.55f64..1.6,
         threads in 1usize..5,
         nz in prop::sample::select(vec![6usize, DEEP_NZ]),
+        lid in wall_velocity(),
+        obstacle_u in obstacle_velocity(),
+        open in prop::sample::select(vec![Open::None, Open::InletOutlet, Open::Nebb]),
     ) {
-        let flags = random_obstacles(nz, &obstacle_bits);
+        // Masked runs (wall and moving-wall bounce-back) sit next to cells
+        // left on the generic path (open/NEBB faces, two wall velocities)
+        // in one sweep.
+        let flags = random_geometry(nz, &obstacle_bits, lid, obstacle_u, open);
         let dims = flags.dims();
         let src: SoaField<D3Q19> = field_from(dims, &vals);
         let coll = CollisionKind::Bgk(BgkParams::from_tau(tau));
@@ -263,11 +309,14 @@ proptest! {
         tau in 0.55f64..1.6,
         threads in 1usize..5,
         nz in prop::sample::select(vec![6usize, DEEP_NZ]),
+        lid in wall_velocity(),
+        obstacle_u in obstacle_velocity(),
     ) {
-        // The AA twin of the property above: the pooled sweep (interior runs
-        // through the lane kernel, gaps through the generic AA cell update)
-        // must reproduce the generic AA half-step at both parities.
-        let flags = random_obstacles(nz, &obstacle_bits);
+        // The AA twin of the property above (AA storage has no open
+        // boundaries): the pooled sweep (runs through the lane kernel, gaps
+        // through the generic AA cell update) must reproduce the generic AA
+        // half-step at both parities.
+        let flags = random_geometry(nz, &obstacle_bits, lid, obstacle_u, Open::None);
         let dims = flags.dims();
         let coll = CollisionKind::Bgk(BgkParams::from_tau(tau));
         let interior = InteriorIndex::build::<D3Q19>(&flags);
@@ -287,6 +336,78 @@ proptest! {
                 );
             }
         }
+    }
+
+    #[test]
+    fn interior_runs_partition_pencils_and_match_flags(
+        obstacle_bits in prop::collection::vec(prop::bool::weighted(0.15), 125),
+        nz in prop::sample::select(vec![6usize, DEEP_NZ]),
+        lid in wall_velocity(),
+        obstacle_u in obstacle_velocity(),
+        open in prop::sample::select(vec![Open::None, Open::InletOutlet, Open::Nebb]),
+    ) {
+        let flags = random_geometry(nz, &obstacle_bits, lid, obstacle_u, open);
+        let dims = flags.dims();
+        let index = InteriorIndex::build::<D3Q19>(&flags);
+        let runs = index.runs();
+        prop_assert_eq!(*runs.descriptor(0), Bounce::NONE);
+        // The descriptor of a cell, recomputed from the flags with periodic
+        // neighbor lookups; `None` where a run must not cover the cell.
+        let expected = |x: usize, y: usize, z: usize| -> Option<Bounce> {
+            let edge = [x, y, z]
+                .iter()
+                .zip([dims.nx, dims.ny, dims.nz])
+                .any(|(&a, n)| a == 0 || a == n - 1);
+            if edge || flags.kind_at(x, y, z) != NodeKind::Fluid {
+                return None;
+            }
+            let mut b = Bounce::NONE;
+            let mut velocities = Vec::new();
+            for q in 1..D3Q19::Q {
+                let c = D3Q19::C[q];
+                let [a, bb, d] = dims.neighbor_periodic(x, y, z, [-c[0], -c[1], -c[2]]);
+                match flags.kind_at(a, bb, d) {
+                    NodeKind::Wall => b.mask |= 1 << q,
+                    NodeKind::MovingWall { u } => {
+                        b.mask |= 1 << q;
+                        b.moving |= 1 << q;
+                        b.u = u;
+                        velocities.push(u);
+                    }
+                    _ => {}
+                }
+            }
+            velocities.iter().all(|u| *u == b.u).then_some(b)
+        };
+        let mut covered = 0;
+        for y in 0..dims.ny {
+            for x in 0..dims.nx {
+                let spans = runs.pencil(y * dims.nx + x);
+                let mut in_run = vec![None; dims.nz];
+                let mut prev: Option<Span> = None;
+                for &s in spans {
+                    // Ascending, non-empty, disjoint, inside the pencil.
+                    prop_assert!(s.z0 < s.z1 && s.z1 as usize <= dims.nz, "span {:?}", s);
+                    if let Some(p) = prev {
+                        prop_assert!(p.z1 <= s.z0, "overlap {:?} {:?}", p, s);
+                        // Maximal: touching runs differ in their descriptor.
+                        prop_assert!(p.z1 < s.z0 || p.desc != s.desc, "unmerged {:?} {:?}", p, s);
+                    }
+                    prev = Some(s);
+                    for z in s.z0..s.z1 {
+                        in_run[z as usize] = Some(*runs.descriptor(s.desc));
+                    }
+                }
+                // Runs plus the generic remainder cover the pencil exactly
+                // once, the runs holding exactly the coverable cells, each
+                // with the descriptor its flags give.
+                for (z, got) in in_run.iter().enumerate() {
+                    prop_assert_eq!(*got, expected(x, y, z), "cell ({}, {}, {})", x, y, z);
+                    covered += usize::from(got.is_some());
+                }
+            }
+        }
+        prop_assert_eq!(covered, runs.cell_count());
     }
 
     #[test]

@@ -75,12 +75,10 @@ use std::time::Duration;
 use swlb_comm::cart::NEIGHBOR_OFFSETS;
 use swlb_comm::frame::{check_frame, seal_frame, FrameCheck, FRAME_HEADER};
 use swlb_comm::{Comm, CommError, Communicator, Tag};
-use swlb_core::collision::{collide, CollisionKind};
+use swlb_core::collision::CollisionKind;
 use swlb_core::flags::FlagField;
 use swlb_core::geometry::GridDims;
-use swlb_core::kernels::{
-    apply_non_fluid, canonicalize_streamed, gather_pull, reverse_planes, InteriorIndex, MAX_Q,
-};
+use swlb_core::kernels::{canonicalize_streamed, reverse_planes, InteriorIndex};
 use swlb_core::lattice::Lattice;
 use swlb_core::layout::{AaParity, PopField, SoaField, Storage, StorageScheme};
 use swlb_core::macroscopic::MacroFields;
@@ -805,8 +803,9 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
     /// Fused stream+collide over the inner rectangle `2..lnx × 2..lny` (the
     /// cells that touch no halo), dispatched through the thread pool: y-slabs
     /// across threads, each one streaming sweep with the D3Q19 lane kernel on
-    /// interior BGK run-length runs and the generic update on the gaps. Matches the serial generic path bit-for-bit on scalar-semantics
-    /// lanes and within the FMA dispatch tolerance under AVX2.
+    /// the bounce-masked BGK runs and the generic update on the gaps. Matches
+    /// the serial generic path bit-for-bit on scalar-semantics lanes and
+    /// within the FMA dispatch tolerance under AVX2.
     fn step_inner(&mut self) {
         if self.lnx <= 2 || self.lny <= 2 {
             self.last_class = KernelClass::Generic;
@@ -862,30 +861,11 @@ impl<'c, L: Lattice, C: Communicator> DistributedSolver<'c, L, C> {
 
     /// Fused stream+collide over the rectangle `xr × yr` (local coords, full z).
     fn step_rect(&mut self, xr: Range<usize>, yr: Range<usize>) {
-        let dims = self.flags.dims();
-        let collision = self.collision;
-        let flags = &self.flags;
         let Storage::Ab(bufs) = &mut self.store else {
             unreachable!("step_rect is the AB path")
         };
         let (src, dst) = bufs.pair_mut();
-        let mut f = [0.0; MAX_Q];
-        for y in yr {
-            for x in xr.clone() {
-                for z in 0..dims.nz {
-                    let cell = dims.idx(x, y, z);
-                    let kind = flags.kind(cell);
-                    if kind.is_fluid() || kind.is_nebb() {
-                        gather_pull::<L, _>(flags, src, x, y, z, &mut f[..L::Q]);
-                        swlb_core::kernels::reconstruct_nebb::<L>(&mut f[..L::Q], kind);
-                        collide::<L>(&mut f[..L::Q], &collision);
-                        dst.store_cell(cell, &f[..L::Q]);
-                    } else {
-                        apply_non_fluid::<L, _>(flags, src, dst, x, y, z, kind);
-                    }
-                }
-            }
-        }
+        swlb_core::kernels::fused_step_rect::<L, _>(&self.flags, src, dst, &self.collision, xr, yr);
     }
 
     /// Fused AA stream+collide over the inner rectangle `2..lnx × 2..lny`
@@ -2033,8 +2013,9 @@ mod tests {
             // Carve an obstacle out of the inner rectangle through the public
             // mutator; the next step must pick it up (more runs, fewer active
             // cells) without an explicit rebuild call.
-            // Mid-pencil in z: the excluded 1-neighborhood leaves interior
-            // cells on both sides, so the pencil splits into two runs.
+            // Mid-pencil in z: the wall leaves a gap in its own pencil and
+            // gives its neighbors bounce masks of their own, so the pencils
+            // around it split into more runs.
             s.local_flags_mut()
                 .set(5, 5, 5, swlb_core::boundary::NodeKind::Wall);
             let active_before = s.active;

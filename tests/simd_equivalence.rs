@@ -165,7 +165,9 @@ fn aa_matches_ab_under_every_lane_policy() {
     use swlb_core::solver::Solver;
 
     let dims = GridDims::new(12, 10, 14);
-    let tol = swlb_core::simd::dispatch_tolerance() * 100.0;
+    // Read under the policy lock: a concurrent `with_policy` test may have
+    // pinned a scalar-semantics lane, whose tolerance is 0.
+    let tol = with_policy(LanePolicy::Auto, swlb_core::simd::dispatch_tolerance) * 100.0;
     let flags = obstacle_flags(dims);
 
     let run = |scheme: StorageScheme, steps: u64| {
